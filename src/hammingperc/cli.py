@@ -3,7 +3,8 @@
 A plan captures everything an experiment needs; running the same plan with
 the same master seed reproduces the CSV output byte for byte (timing and
 timestamps live only in the JSON record).  Exit codes: 0 ok, 1 acceptance
-failure, 2 usage error, 3 numeric-domain error.
+failure, 2 usage error (including a malformed number on the command line,
+in a config file or in HP_THREADS), 3 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -44,6 +45,25 @@ EXPERIMENTS = ("simulate", "explore", "sprinkle", "gw", "verify", "sweep")
 ETA_RULES = ("explicit", "sqrt_eps_v_sixth")
 CSV_HEADER = ("experiment", "d", "n", "epsilon", "eta", "seed", "replica",
               "cmax", "c2", "z_k", "z_value")
+
+
+class UsageError(ValueError):
+    """Malformed input: a value that does not parse as the number it names."""
+
+
+def _number(cast, text: str, what: str):
+    """cast(text), or a UsageError naming ``what`` if text does not parse."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(
+            f"{what} must be {'an integer' if cast is int else 'a number'},"
+            f" got {text!r}"
+        ) from None
+
+
+def _int_list(text: str, what: str) -> tuple:
+    return tuple(_number(int, v, what) for v in text.split(",") if v.strip())
 
 
 @dataclass(frozen=True)
@@ -88,6 +108,8 @@ class ExperimentPlan:
                 f"{self.experiment} takes a single epsilon; "
                 "ranges belong to sweep"
             )
+        if self.experiment == "explore" and self.d != 2:
+            raise DomainError(f"explore runs on d = 2 only, got d = {self.d}")
 
 
 @dataclass
@@ -173,41 +195,47 @@ def parse_epsilons(text: str) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"bad epsilon range {text!r}, want lo:hi:step")
-        lo, hi, step = (float(v) for v in parts)
+        lo, hi, step = (_number(float, v, "epsilon") for v in parts)
         if step <= 0 or hi < lo:
             raise DomainError(f"bad epsilon range {text!r}")
         count = int(round((hi - lo) / step)) + 1
         values = [lo + i * step for i in range(count)]
         return tuple(v for v in values if v <= hi + 1e-12)
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_number(float, v, "epsilon") for v in text.split(",")
+                 if v.strip())
 
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Inverse of serialize_plan; also reads hand-written config files."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: N (trials) differs from n
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config: {str(exc).splitlines()[0]}") from None
     if not parser.has_section("plan"):
         raise DomainError("config needs a [plan] section")
-    section = parser["plan"]
-    get = section.get
+    get = parser["plan"].get
+
+    def number(cast, key, default=None):
+        text = get(key)
+        return default if text is None else _number(cast, text, key)
+
     plan = ExperimentPlan(
         experiment=get("experiment", "simulate"),
-        d=section.getint("d", 2),
-        n=section.getint("n", 10),
+        d=number(int, "d", 2),
+        n=number(int, "n", 10),
         epsilons=parse_epsilons(get("eps", "0.1")),
         eta_rule=get("eta_rule", "sqrt_eps_v_sixth"),
-        eta=section.getfloat("eta") if get("eta") is not None else None,
-        k_thresholds=tuple(
-            int(v) for v in get("k", "").split(",") if v.strip()
-        ),
-        replicas=section.getint("replicas", 1),
-        master_seed=section.getint("seed", 0),
-        threads=section.getint("threads", 1),
+        eta=number(float, "eta"),
+        k_thresholds=_int_list(get("k", ""), "k"),
+        replicas=number(int, "replicas", 1),
+        master_seed=number(int, "seed", 0),
+        threads=number(int, "threads", 1),
         out_csv=get("out_csv") or None,
         out_json=get("out_json") or None,
-        gw_N=section.getint("N") if get("N") is not None else None,
-        tail_ell=section.getint("tail") if get("tail") is not None else None,
+        gw_N=number(int, "N"),
+        tail_ell=number(int, "tail"),
     )
     plan.validate()
     return plan
@@ -477,9 +505,7 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
         updates["eta"] = args.eta
         updates["eta_rule"] = "explicit"
     if args.k is not None:
-        updates["k_thresholds"] = tuple(
-            int(v) for v in args.k.split(",") if v.strip()
-        )
+        updates["k_thresholds"] = _int_list(args.k, "--k")
     if args.replicas is not None:
         updates["replicas"] = args.replicas
     if args.seed is not None:
@@ -487,7 +513,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
     if args.threads is not None:
         updates["threads"] = args.threads
     elif os.environ.get("HP_THREADS"):
-        updates["threads"] = int(os.environ["HP_THREADS"])
+        updates["threads"] = _number(int, os.environ["HP_THREADS"],
+                                     "HP_THREADS")
     if args.out_csv is not None:
         updates["out_csv"] = args.out_csv
     if args.out_json is not None:
@@ -510,7 +537,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

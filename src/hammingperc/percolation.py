@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.rng import stream_rng
@@ -122,15 +123,21 @@ class OccupiedEdgeSet:
         return np.stack([members[a], members[b]], axis=1)
 
     def all_pairs(self) -> np.ndarray:
+        """(E, 2) array of every occupied vertex pair, u < v, line by line
+        and rank by rank, decoded in one pass over all lines."""
         if self._pairs is None:
-            parts = [
-                self.pairs_by_line(i)
-                for i in range(len(self.ranks_by_line))
-                if len(self.ranks_by_line[i])
-            ]
-            self._pairs = (
-                np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-            )
+            n = self.graph.n
+            counts = [len(r) for r in self.ranks_by_line]
+            ranks = np.concatenate(self.ranks_by_line)
+            pos = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+            axis, index = np.divmod(pos, n ** (self.graph.d - 1))
+            # the line's frozen coordinates below ``axis`` keep their place
+            # value; those above it move up by one factor of n
+            stride = n ** axis
+            anchor = index % stride + (index // stride) * stride * n
+            a, b = ranks_to_positions(ranks)
+            self._pairs = np.stack([anchor + stride * a, anchor + stride * b],
+                                   axis=1)
         return self._pairs
 
     def to_text(self) -> str:
@@ -237,10 +244,6 @@ class UnionFind:
                 parent[v] = u
                 size[u] += size[v]
 
-    def roots(self) -> list[int]:
-        parent = self.parent
-        return [v for v in range(len(parent)) if parent[v] == v]
-
     def component_sizes(self) -> np.ndarray:
         """All component sizes, largest first."""
         parent = self.parent
@@ -271,24 +274,44 @@ class ClusterStats:
     sizes: np.ndarray
     cmax: int
     c2: int
-    labels: np.ndarray | None = None  # per-vertex component root, on request
+    # on request: a component label per vertex; equal labels mean the same
+    # component
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sizes.size and (np.diff(self.sizes) > 0).any():
             raise DomainError("sizes must be sorted descending")
 
 
+# Graphs of at most this many vertices go through UnionFind: csgraph's
+# sparse-matrix validation costs about 0.25 ms per call at any size, and the
+# Python union-find is cheaper up to about this size (see CHANGES.md).
+UNION_FIND_MAX_VERTICES = 1024
+
+
 def connected_components(occupied: OccupiedEdgeSet,
                          keep_labels: bool = False) -> ClusterStats:
-    """Union-find over the occupied edges of one configuration."""
-    uf = UnionFind(occupied.graph.num_vertices)
-    uf.union_pairs(occupied.all_pairs().tolist())
-    sizes = uf.component_sizes()
+    """Components of one configuration: scipy's csgraph, or a union-find on
+    graphs of at most UNION_FIND_MAX_VERTICES vertices."""
+    V = occupied.graph.num_vertices
+    pairs = occupied.all_pairs()
+    if V <= UNION_FIND_MAX_VERTICES:
+        uf = UnionFind(V)
+        uf.union_pairs(pairs.tolist())
+        sizes = uf.component_sizes()
+        labels = uf.labels() if keep_labels else None
+    else:
+        adjacency = csr_array(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(V, V))
+        _, labels = csgraph.connected_components(adjacency, directed=False)
+        sizes = np.sort(np.bincount(labels))[::-1]
+        if not keep_labels:
+            labels = None
     return ClusterStats(
         sizes=sizes,
         cmax=int(sizes[0]),
         c2=int(sizes[1]) if sizes.size > 1 else 0,
-        labels=uf.labels() if keep_labels else None,
+        labels=labels,
     )
 
 

@@ -20,9 +20,8 @@ from hammingperc.graph import DomainError
 from hammingperc.percolation import (
     OccupiedEdgeSet,
     PercolationConfig,
-    UnionFind,
     _skip_sample,
-    ranks_to_positions,
+    connected_components,
     sample_edges,
 )
 from hammingperc.rng import stream_rng
@@ -55,21 +54,13 @@ class SprinklingReport:
 def _complement_ranks(occ: np.ndarray, M: int, rate: float, rng) -> np.ndarray:
     """Bernoulli(rate) subset of the M - len(occ) vacant slots, as ranks.
 
-    Slot q of the complement maps to rank q + (number of occupied ranks
-    jumped over); a single pointer walk handles all picks in ascending
-    order.
+    Slot q of the complement maps to rank q + j, with j the number of
+    occupied ranks below the result: the occupied ranks o_i with
+    o_i - i <= q.
     """
     picks = _skip_sample(rng, M - len(occ), rate)
-    if not picks.size:
-        return picks
-    out = np.empty(picks.size, dtype=np.int64)
-    occupied = occ.tolist()
-    ptr = 0
-    for i, q in enumerate(picks.tolist()):
-        while ptr < len(occupied) and occupied[ptr] <= q + ptr:
-            ptr += 1
-        out[i] = q + ptr
-    return out
+    return picks + np.searchsorted(occ - np.arange(len(occ)), picks,
+                                   side="right")
 
 
 def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
@@ -99,66 +90,49 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
 
     rng = stream_rng(cfg.seed, stream)
     first = sample_edges(g, p_minus, rng)
-    uf = UnionFind(V)
-    uf.union_pairs(first.all_pairs().tolist())
+    labels = connected_components(first, keep_labels=True).labels
+    counts = np.bincount(labels)
 
+    # large clusters by size, largest first, ties by label
     threshold = max(1, math.ceil(eta * V))
-    by_size = sorted(
-        ((uf.size[r], r) for r in uf.roots() if uf.size[r] >= threshold),
-        key=lambda t: (-t[0], t[1]),
-    )
-    large_roots = [r for _, r in by_size]
-    clusters_before = np.array([s for s, _ in by_size], dtype=np.int64)
-    z_prime = int(clusters_before.sum())
+    large = np.flatnonzero(counts >= threshold)
+    large = large[np.argsort(-counts[large], kind="stable")]
+    clusters_before = counts[large]
+    rank = np.full(counts.size, -1, dtype=np.int64)
+    rank[large] = np.arange(large.size)
+    vertex_rank = rank[labels]
+    in_large = vertex_rank >= 0
 
     good_lines = None
     if g.d == 2:
-        labels = uf.labels() if large_roots else None
+        # vertices per (large cluster, first coordinate) in one count
         first_coord = np.arange(V, dtype=np.int64) % n
-        need = eta * V / (4.0 * n)
-        good_lines = np.array(
-            [
-                int((np.bincount(first_coord[labels == r], minlength=n)
-                     >= need).sum())
-                for r in large_roots
-            ],
-            dtype=np.int64,
-        )
+        per_line = np.bincount(
+            vertex_rank[in_large] * n + first_coord[in_large],
+            minlength=large.size * n,
+        ).reshape(large.size, n)
+        good_lines = (per_line >= eta * V / (4.0 * n)).sum(axis=1)
 
     # round two: sprinkle the vacant slots of every line, same stream
     M = n * (n - 1) // 2
-    combined = [] if keep_edges else None
-    chunks = []
-    sprinkled = 0
-    for pos in range(g.num_lines()):
-        occ = first.ranks_by_line[pos]
+    combined = []
+    for occ in first.ranks_by_line:
         extra = _complement_ranks(occ, M, rate, rng)
-        sprinkled += int(extra.size)
-        if extra.size:
-            a, b = ranks_to_positions(extra)
-            members = first.line_at(pos).members
-            chunks.append(np.stack([members[a], members[b]], axis=1))
-        if keep_edges:
-            merged_ranks = (
-                np.sort(np.concatenate([occ, extra])) if extra.size else occ
-            )
-            combined.append(merged_ranks)
-    if chunks:
-        uf.union_pairs(np.concatenate(chunks).tolist())
+        combined.append(np.sort(np.concatenate([occ, extra]))
+                        if extra.size else occ)
+    after_edges = OccupiedEdgeSet(graph=g, ranks_by_line=combined)
+    after = connected_components(after_edges, keep_labels=True)
+    merged = after.labels[in_large]
 
-    after = {uf.find(r) for r in large_roots}
     return SprinklingReport(
         p_minus=p_minus,
         eta=eta,
         clusters_before=clusters_before,
-        z_prime=z_prime,
+        z_prime=int(clusters_before.sum()),
         good_lines_before=good_lines,
-        merged_after=len(after) <= 1,
-        cmax_after=int(uf.component_sizes()[0]),
+        merged_after=bool((merged == merged[:1]).all()),
+        cmax_after=after.cmax,
         occupied_before=first.total_occupied,
-        occupied_after=first.total_occupied + sprinkled,
-        edges_after=(
-            OccupiedEdgeSet(graph=g, ranks_by_line=combined)
-            if keep_edges else None
-        ),
+        occupied_after=after_edges.total_occupied,
+        edges_after=after_edges if keep_edges else None,
     )

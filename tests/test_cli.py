@@ -203,3 +203,39 @@ def test_hp_threads_env_default(monkeypatch):
     monkeypatch.delenv("HP_THREADS")
     args = _build_parser().parse_args(["simulate", "--n", "8"])
     assert _plan_from_args(args).threads == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "8", "--k", "abc"],
+    ["sweep", "--n", "8", "--eps", "0.1:abc:1"],
+    ["simulate", "--n", "8", "--eps", "abc"],
+])
+def test_malformed_flag_numbers_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_malformed_hp_threads_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HP_THREADS", "x")
+    assert main(["simulate", "--n", "8"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: HP_THREADS must be an integer, got 'x'"]
+
+
+@pytest.mark.parametrize("text", ["[plan]\nd = two\n", "d = 2\n"])
+def test_malformed_config_file_is_a_usage_error(text, tmp_path, capsys):
+    cfg_path = tmp_path / "plan.cfg"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_explore_rejects_d3_before_any_warning(capsys):
+    with pytest.raises(DomainError):
+        ExperimentPlan(experiment="explore", d=3).validate()
+    # eps far below the supercritical range would warn if validation ran late
+    assert main(["explore", "--d", "3", "--n", "10", "--eps", "0.001"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: explore runs on d = 2 only, got d = 3"]

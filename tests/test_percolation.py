@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hammingperc import percolation
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import (
     ClusterStats,
@@ -185,3 +186,36 @@ def test_z_geq_monotone():
 def test_cluster_stats_requires_descending():
     with pytest.raises(DomainError):
         ClusterStats(sizes=np.array([2, 5, 1]), cmax=5, c2=2)
+
+
+@pytest.mark.parametrize("d, n, eps", [(2, 17, 0.4), (3, 9, 0.3), (2, 2, 1.0)])
+def test_all_pairs_matches_per_line_decode(d, n, eps):
+    # the one-pass decode must reproduce the per-line reference, in order
+    cfg = PercolationConfig(HammingGraph(d, n), epsilon=eps, seed=13)
+    for stream in range(3):
+        occ = sample_configuration(cfg, stream=stream)
+        want = np.concatenate(
+            [occ.pairs_by_line(pos) for pos in range(len(occ.ranks_by_line))])
+        got = occ.all_pairs()
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+def _same_partition(x, y) -> bool:
+    joint = np.unique(np.stack([x, y], axis=1), axis=0)
+    return len(joint) == len(np.unique(x)) == len(np.unique(y))
+
+
+@pytest.mark.parametrize("d, n", [(2, 20), (3, 10), (2, 60), (3, 15)])
+def test_union_find_and_csgraph_paths_agree(d, n, monkeypatch):
+    # graphs on both sides of the size cut, each forced through both paths
+    cfg = PercolationConfig(HammingGraph(d, n), epsilon=0.2, seed=41)
+    for stream in range(4):
+        occ = sample_configuration(cfg, stream=stream)
+        monkeypatch.setattr(percolation, "UNION_FIND_MAX_VERTICES", 10**12)
+        by_union_find = connected_components(occ, keep_labels=True)
+        monkeypatch.setattr(percolation, "UNION_FIND_MAX_VERTICES", 0)
+        by_csgraph = connected_components(occ, keep_labels=True)
+        np.testing.assert_array_equal(by_union_find.sizes, by_csgraph.sizes)
+        assert by_union_find.sizes.sum() == cfg.graph.num_vertices
+        assert _same_partition(by_union_find.labels, by_csgraph.labels)
