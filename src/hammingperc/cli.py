@@ -92,6 +92,8 @@ class ExperimentPlan:
             raise DomainError(f"unknown eta rule {self.eta_rule!r}")
         if self.eta_rule == "explicit" and self.eta is None:
             raise DomainError("eta_rule 'explicit' needs an eta value")
+        if self.eta is not None and not math.isfinite(self.eta):
+            raise DomainError(f"eta must be finite, got {self.eta}")
         if self.replicas < 1:
             raise DomainError(f"need replicas >= 1, got {self.replicas}")
         if self.threads < 1:

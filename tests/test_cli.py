@@ -232,6 +232,13 @@ def test_malformed_config_file_is_a_usage_error(text, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_non_finite_eta_is_a_domain_error(eta, capsys):
+    assert main(["sprinkle", "--n", "8", "--eps", "0.1", "--eta", eta]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: eta must be finite, got {float(eta)}"]
+
+
 def test_explore_rejects_d3_before_any_warning(capsys):
     with pytest.raises(DomainError):
         ExperimentPlan(experiment="explore", d=3).validate()
