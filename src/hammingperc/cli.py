@@ -48,7 +48,8 @@ CSV_HEADER = ("experiment", "d", "n", "epsilon", "eta", "seed", "replica",
 
 
 class UsageError(ValueError):
-    """Malformed input: a value that does not parse as the number it names."""
+    """Malformed input: a number that does not parse, or a config file that
+    is not in key = value form."""
 
 
 def _number(cast, text: str, what: str):
@@ -214,7 +215,8 @@ def parse_plan(text: str) -> ExperimentPlan:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise UsageError(f"malformed config: {str(exc).splitlines()[0]}") from None
+        first_line = str(exc).splitlines()[0]
+        raise UsageError(f"malformed config: {first_line}") from None
     if not parser.has_section("plan"):
         raise DomainError("config needs a [plan] section")
     get = parser["plan"].get

@@ -209,24 +209,6 @@ class UnionFind:
         self.parent = list(range(num_items))
         self.size = [1] * num_items
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, u: int, v: int) -> bool:
-        """Merge the sets of u and v; True if they were distinct."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        return True
-
     def union_pairs(self, pairs) -> None:
         """Merge along an iterable of (u, v) pairs (hot path, inlined finds)."""
         parent = self.parent

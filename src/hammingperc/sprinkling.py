@@ -122,6 +122,7 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
                         if extra.size else occ)
     after_edges = OccupiedEdgeSet(graph=g, ranks_by_line=combined)
     after = connected_components(after_edges, keep_labels=True)
+    # merged when every vertex of a large cluster shares one label after
     merged = after.labels[in_large]
 
     return SprinklingReport(
