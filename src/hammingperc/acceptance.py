@@ -40,7 +40,7 @@ from hammingperc.stats import (
     z_concentration_report,
 )
 
-__all__ = ["ALL_CRITERIA", "CriterionResult", "run_all"]
+__all__ = ["ALL_CRITERIA", "CriterionResult"]
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,3 @@ ALL_CRITERIA = (
     criterion_10_critical_window,
     criterion_11_concentration,
 )
-
-
-def run_all() -> list[CriterionResult]:
-    return [check() for check in ALL_CRITERIA]

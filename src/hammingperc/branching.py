@@ -31,7 +31,6 @@ __all__ = [
     "interval_probability",
     "progeny_pmf",
     "progeny_pmf_array",
-    "simulate_gw",
     "simulate_gw_batch",
     "survival_probability",
     "tail_difference",
@@ -176,25 +175,12 @@ def tail_difference(spec_a: GWSpec, spec_b: GWSpec, ell: int) -> TailDifference:
     return TailDifference(value=value, bound=bound)
 
 
-def simulate_gw(spec: GWSpec, cap: int, seed: int) -> int:
-    """One total progeny draw, capped at ``cap``.
+def simulate_gw_batch(spec: GWSpec, cap: int, samples: int, seed: int) -> np.ndarray:
+    """Capped total progeny of ``samples`` independent trees.
 
     Generation sizes are simulated directly: the children of a generation of
     g individuals are one Bin(g*N, p) draw.
     """
-    if cap < 1:
-        raise DomainError(f"need cap >= 1, got {cap}")
-    rng = stream_rng(seed, 0)
-    total = 1
-    current = 1
-    while current > 0 and total < cap:
-        current = int(rng.binomial(current * spec.N, spec.p))
-        total += current
-    return min(total, cap)
-
-
-def simulate_gw_batch(spec: GWSpec, cap: int, samples: int, seed: int) -> np.ndarray:
-    """Vectorized version of :func:`simulate_gw` over independent samples."""
     if cap < 1:
         raise DomainError(f"need cap >= 1, got {cap}")
     rng = stream_rng(seed, 0)

@@ -32,54 +32,3 @@ CRITICAL_WINDOW_BRACKET = (0.1, 10.0)     # cmax / V**(2/3) at eps = 0
 CRITICAL_WINDOW_FRACTION = 0.9
 SPRINKLE_MERGE_FRACTION = 0.95
 GOOD_LINE_REPLICA_FRACTION = 0.95
-
-CALIBRATION = {
-    "interval_sqrt_constant": {
-        "value": INTERVAL_SQRT_CONSTANT,
-        "calibrated_by": "1.5x observed max of interval_probability*sqrt(ell)"
-        " on N=2000, eps=0.05, ell in {100, 1000, 10000} (max 0.18980)",
-    },
-    "tail_difference_constant": {
-        "value": TAIL_DIFFERENCE_CONSTANT,
-        "calibrated_by": "1.5x observed max ratio on N=2000 vs N-{5,10,50,100},"
-        " same p=1.05/2000, ell in {10, 100, 1000, 10000} (max 1.815)",
-    },
-    "line_occupancy_ceiling": {
-        "value": LINE_OCCUPANCY_CEILING,
-        "calibrated_by": "1.5x observed max of max-line-count/(eta*n) over 2000"
-        " pilot explorations, d=2 n=300, eps=0.04, eta=sqrt(eps)*V**(-1/6),"
-        " cap=ceil(eta*V), master seed 314159 (max 4.80)",
-    },
-    "z_concentration_threshold": {
-        "value": Z_CONCENTRATION_THRESHOLD,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "giant_median_band": {
-        "value": GIANT_MEDIAN_BAND,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "giant_ratio_bracket": {
-        "value": GIANT_RATIO_BRACKET,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "chi_subcritical_tolerance": {
-        "value": CHI_SUBCRITICAL_TOLERANCE,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "critical_window_bracket": {
-        "value": CRITICAL_WINDOW_BRACKET,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "critical_window_fraction": {
-        "value": CRITICAL_WINDOW_FRACTION,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "sprinkle_merge_fraction": {
-        "value": SPRINKLE_MERGE_FRACTION,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-    "good_line_replica_fraction": {
-        "value": GOOD_LINE_REPLICA_FRACTION,
-        "calibrated_by": "pinned by the acceptance gate",
-    },
-}

@@ -42,9 +42,13 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("simulate", "explore", "sprinkle", "gw", "verify", "sweep")
-ETA_RULES = ("explicit", "sqrt_eps_v_sixth")
 CSV_HEADER = ("experiment", "d", "n", "epsilon", "eta", "seed", "replica",
               "cmax", "c2", "z_k", "z_value")
+# plan keys of a config file, as written by serialize_plan
+PLAN_KEYS = ("experiment", "d", "n", "eps", "eta", "k", "replicas", "seed",
+             "threads", "out_csv", "out_json", "N", "tail")
+# most values a lo:hi:step epsilon range may expand to
+MAX_EPSILONS = 10_000
 
 
 class UsageError(ValueError):
@@ -75,8 +79,7 @@ class ExperimentPlan:
     d: int = 2
     n: int = 10
     epsilons: tuple = (0.1,)
-    eta_rule: str = "sqrt_eps_v_sixth"
-    eta: float | None = None
+    eta: float | None = None  # None: sqrt(eps) * V^(-1/6)
     k_thresholds: tuple = ()
     replicas: int = 1
     master_seed: int = 0
@@ -89,16 +92,15 @@ class ExperimentPlan:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
-        if self.eta_rule not in ETA_RULES:
-            raise DomainError(f"unknown eta rule {self.eta_rule!r}")
-        if self.eta_rule == "explicit" and self.eta is None:
-            raise DomainError("eta_rule 'explicit' needs an eta value")
         if self.eta is not None and not math.isfinite(self.eta):
             raise DomainError(f"eta must be finite, got {self.eta}")
         if self.replicas < 1:
             raise DomainError(f"need replicas >= 1, got {self.replicas}")
         if self.threads < 1:
             raise DomainError(f"need threads >= 1, got {self.threads}")
+        for k in self.k_thresholds:
+            if k < 1:
+                raise DomainError(f"need k >= 1, got {k}")
         if self.experiment == "gw":
             if not self.gw_N or self.gw_N < 1:
                 raise DomainError("gw needs --N >= 1")
@@ -164,7 +166,6 @@ def _plan_to_dict(plan: ExperimentPlan) -> dict:
         "d": plan.d,
         "n": plan.n,
         "eps": ",".join(repr(float(e)) for e in plan.epsilons),
-        "eta_rule": plan.eta_rule,
         "replicas": plan.replicas,
         "seed": plan.master_seed,
         "threads": plan.threads,
@@ -199,9 +200,14 @@ def parse_epsilons(text: str) -> tuple:
         if len(parts) != 3:
             raise DomainError(f"bad epsilon range {text!r}, want lo:hi:step")
         lo, hi, step = (_number(float, v, "epsilon") for v in parts)
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise DomainError(f"bad epsilon range {text!r}")
-        count = int(round((hi - lo) / step)) + 1
+        span = (hi - lo) / step
+        if span > MAX_EPSILONS - 1:
+            raise DomainError(
+                f"epsilon range {text!r} has more than {MAX_EPSILONS} values"
+            )
+        count = int(round(span)) + 1
         values = [lo + i * step for i in range(count)]
         return tuple(v for v in values if v <= hi + 1e-12)
     return tuple(_number(float, v, "epsilon") for v in text.split(",")
@@ -219,6 +225,9 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise UsageError(f"malformed config: {first_line}") from None
     if not parser.has_section("plan"):
         raise DomainError("config needs a [plan] section")
+    unknown = [key for key in parser["plan"] if key not in PLAN_KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}")
     get = parser["plan"].get
 
     def number(cast, key, default=None):
@@ -230,7 +239,6 @@ def parse_plan(text: str) -> ExperimentPlan:
         d=number(int, "d", 2),
         n=number(int, "n", 10),
         epsilons=parse_epsilons(get("eps", "0.1")),
-        eta_rule=get("eta_rule", "sqrt_eps_v_sixth"),
         eta=number(float, "eta"),
         k_thresholds=_int_list(get("k", ""), "k"),
         replicas=number(int, "replicas", 1),
@@ -246,11 +254,11 @@ def parse_plan(text: str) -> ExperimentPlan:
 
 
 def resolve_eta(plan: ExperimentPlan, epsilon: float, V: int) -> float:
-    if plan.eta_rule == "explicit":
+    if plan.eta is not None:
         return float(plan.eta)
     if epsilon <= 0.0:
         raise DomainError(
-            "the sqrt_eps_v_sixth eta rule needs epsilon > 0"
+            "the default eta rule sqrt(eps) * V^(-1/6) needs epsilon > 0"
         )
     return math.sqrt(epsilon) * V ** (-1.0 / 6.0)
 
@@ -507,7 +515,6 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
         updates["epsilons"] = parse_epsilons(args.eps)
     if args.eta is not None:
         updates["eta"] = args.eta
-        updates["eta_rule"] = "explicit"
     if args.k is not None:
         updates["k_thresholds"] = _int_list(args.k, "--k")
     if args.replicas is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "ExplorationEngine",
     "ExplorationResult",
     "explore_cluster",
-    "good_line_count",
 ]
 
 
@@ -180,9 +179,3 @@ def explore_cluster(cfg: PercolationConfig, v0, cap: int | None = None,
     engine = ExplorationEngine(cfg)
     rng = stream_rng(cfg.seed, stream)
     return engine.run(v0, cap=cap, rng=rng, keep_members=keep_members)
-
-
-def good_line_count(result: ExplorationResult, threshold: float) -> int:
-    """Number of horizontal lines holding at least ``threshold`` members of
-    the discovered cluster."""
-    return int((result.horiz_counts >= threshold).sum())

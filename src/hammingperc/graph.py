@@ -152,17 +152,3 @@ class HammingGraph:
             for axis in range(self.d)
             for index in range(self.n ** (self.d - 1))
         ]
-
-    # -- d=2 conveniences, matching the usual grid picture -------------------
-
-    def horizontal_line(self, i: int) -> Line:
-        """d=2 only: the n vertices whose first coordinate equals i."""
-        if self.d != 2:
-            raise DomainError("horizontal/vertical lines are a d=2 notion")
-        return self.line(axis=1, index=i)
-
-    def vertical_line(self, j: int) -> Line:
-        """d=2 only: the n vertices whose second coordinate equals j."""
-        if self.d != 2:
-            raise DomainError("horizontal/vertical lines are a d=2 notion")
-        return self.line(axis=0, index=j)

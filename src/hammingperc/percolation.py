@@ -82,8 +82,14 @@ def _skip_sample(rng, M: int, p: float) -> np.ndarray:
     pos = -1
     # enough gap draws to clear M slots in one batch almost always
     size = int(M * p + 4.0 * math.sqrt(M * p) + 16.0)
+    # below this p the gaps come near 2**63 and their sum wraps around;
+    # any gap past M ends the sample, so capping it there changes no rank
+    cap_gaps = p < 1e-9
     while True:
-        ranks = pos + np.cumsum(rng.geometric(p, size=size))
+        gaps = rng.geometric(p, size=size)
+        if cap_gaps:
+            np.minimum(gaps, M + 1, out=gaps)
+        ranks = pos + np.cumsum(gaps)
         cut = int(np.searchsorted(ranks, M))
         if cut < ranks.size:
             chunks.append(ranks[:cut])

@@ -8,9 +8,7 @@ success indicator is a nonincreasing function of k along a fixed stream.
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +95,6 @@ class ReplicaSummary:
     cmax: int
     c2: int
     z_geq_table: tuple  # ((k, Z_{>=k}), ...) with k strictly increasing
-    good_lines: tuple = ()
-    wall_time: float = 0.0
 
     def __post_init__(self):
         if self.cmax < self.c2:
@@ -114,7 +110,6 @@ class ReplicaSummary:
 def replica_summary(cfg: PercolationConfig, replica: int,
                     ks=()) -> ReplicaSummary:
     """Sample one configuration on stream ``replica`` and summarize it."""
-    t0 = time.perf_counter()
     stats = connected_components(sample_configuration(cfg, stream=replica))
     table = tuple((int(k), z_geq(stats, int(k))) for k in sorted(set(ks)))
     return ReplicaSummary(
@@ -122,7 +117,6 @@ def replica_summary(cfg: PercolationConfig, replica: int,
         cmax=stats.cmax,
         c2=stats.c2,
         z_geq_table=table,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -170,46 +164,11 @@ def estimate_cluster_tail(cfg: PercolationConfig, k: int, samples: int,
 
 @dataclass
 class Report:
-    """Replica-level experiment outcome with its thresholds spelled out."""
+    """Replica-level outcome: per-replica rows, a summary and a verdict."""
 
-    experiment: str
-    params: dict
     per_replica: list
     summary: dict
-    thresholds: dict
     passed: bool | None  # None marks a purely informational report
-
-    def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "params": self.params,
-            "per_replica": self.per_replica,
-            "summary": self.summary,
-            "thresholds": self.thresholds,
-            "pass": self.passed,
-        }
-        return json.dumps(payload, indent=2)
-
-    def csv_rows(self) -> tuple[list[str], list[list[str]]]:
-        """Header and one formatted row per replica."""
-        if not self.per_replica:
-            return [], []
-        header = list(self.per_replica[0])
-        rows = [
-            [_format_cell(row[name]) for name in header]
-            for row in self.per_replica
-        ]
-        return header, rows
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip decimal
-    return str(value)
-
-
-def _threshold(name: str) -> dict:
-    return dict(calibration.CALIBRATION[name])
 
 
 def z_concentration_report(cfg: PercolationConfig, k: int,
@@ -225,18 +184,11 @@ def z_concentration_report(cfg: PercolationConfig, k: int,
     normalized = sd / (abs(eps) * V) if eps != 0.0 else None
     limit = calibration.Z_CONCENTRATION_THRESHOLD
     return Report(
-        experiment="z_concentration",
-        params={"d": cfg.graph.d, "n": cfg.graph.n, "epsilon": eps,
-                "seed": cfg.seed, "k": k, "replicas": replicas},
         per_replica=[
-            {"replica": s.seed, "z": s.z_geq_table[0][1],
-             "wall_time": s.wall_time}
-            for s in summaries
+            {"replica": s.seed, "z": s.z_geq_table[0][1]} for s in summaries
         ],
         summary={"z_mean": float(zs.mean()), "z_sd": sd,
                  "normalized_sd": normalized},
-        thresholds={"normalized_sd_max": _threshold(
-            "z_concentration_threshold")},
         passed=None if normalized is None else bool(normalized <= limit),
     )
 
@@ -262,12 +214,9 @@ def giant_lln_report(cfg: PercolationConfig, replicas: int) -> Report:
     ratio_zeta = median / zeta
     ratio_two_eps = median / (2.0 * eps)
     return Report(
-        experiment="giant_lln",
-        params={"d": cfg.graph.d, "n": cfg.graph.n, "epsilon": eps,
-                "seed": cfg.seed, "replicas": replicas},
         per_replica=[
             {"replica": s.seed, "cmax": s.cmax, "c2": s.c2,
-             "cmax_fraction": s.cmax / V, "wall_time": s.wall_time}
+             "cmax_fraction": s.cmax / V}
             for s in summaries
         ],
         summary={
@@ -280,10 +229,6 @@ def giant_lln_report(cfg: PercolationConfig, replicas: int) -> Report:
             "replica_fraction_within_two_eps_bracket": float(
                 np.mean((fractions / (2.0 * eps) >= lo)
                         & (fractions / (2.0 * eps) <= hi))),
-        },
-        thresholds={
-            "survival_band": _threshold("giant_median_band"),
-            "two_eps_bracket": _threshold("giant_ratio_bracket"),
         },
         passed=bool(abs(ratio_zeta - 1.0) <= band
                     and lo <= ratio_two_eps <= hi),
@@ -308,18 +253,13 @@ def duality_diagnostic(cfg: PercolationConfig, replicas: int) -> Report:
     scale = eps * eps / (2.0 * math.log(eps ** 3 * V))
     ratios = np.array([s.c2 * scale for s in summaries])
     return Report(
-        experiment="duality_diagnostic",
-        params={"d": cfg.graph.d, "n": cfg.graph.n, "epsilon": eps,
-                "seed": cfg.seed, "replicas": replicas},
         per_replica=[
-            {"replica": s.seed, "c2": s.c2, "scaled_c2": float(r),
-             "wall_time": s.wall_time}
+            {"replica": s.seed, "c2": s.c2, "scaled_c2": float(r)}
             for s, r in zip(summaries, ratios)
         ],
         summary={
             "median_scaled_c2": float(np.median(ratios)),
             "mean_scaled_c2": float(ratios.mean()),
         },
-        thresholds={},
         passed=None,
     )

@@ -14,7 +14,6 @@ from hammingperc.branching import (
     interval_probability,
     progeny_pmf,
     progeny_pmf_array,
-    simulate_gw,
     simulate_gw_batch,
     survival_probability,
     tail_difference,
@@ -219,18 +218,23 @@ def test_near_critical_cayley_asymptotic():
 
 
 def test_simulate_degenerate_and_capped():
-    assert simulate_gw(GWSpec(5, 0.0), cap=10, seed=3) == 1
+    assert (simulate_gw_batch(GWSpec(5, 0.0), cap=10, samples=4, seed=3)
+            == 1).all()
     # N=1, p=1 is an endless chain: every generation adds one vertex
-    assert simulate_gw(GWSpec(1, 1.0), cap=57, seed=0) == 57
+    assert (simulate_gw_batch(GWSpec(1, 1.0), cap=57, samples=4, seed=0)
+            == 57).all()
     with pytest.raises(DomainError):
-        simulate_gw(GWSpec(5, 0.1), cap=0, seed=1)
+        simulate_gw_batch(GWSpec(5, 0.1), cap=0, samples=4, seed=1)
 
 
 def test_simulate_deterministic_per_seed():
     spec = GWSpec(100, 1.05 / 100)
-    draws = [simulate_gw(spec, cap=500, seed=42) for _ in range(3)]
-    assert len(set(draws)) == 1
-    assert simulate_gw(spec, cap=500, seed=43) != draws[0] or True  # may tie
+    draws = [simulate_gw_batch(spec, cap=500, samples=200, seed=42)
+             for _ in range(3)]
+    assert all((d == draws[0]).all() for d in draws)
+    # 200 capped progenies spread over many sizes; another seed moves them
+    other = simulate_gw_batch(spec, cap=500, samples=200, seed=43)
+    assert (other != draws[0]).any()
 
 
 def test_simulated_progeny_matches_pmf():

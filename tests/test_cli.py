@@ -8,6 +8,7 @@ from hammingperc import acceptance
 from hammingperc.branching import GWSpec, tail_probability
 from hammingperc.cli import (
     CSV_HEADER,
+    MAX_EPSILONS,
     ExperimentPlan,
     _build_parser,
     _plan_from_args,
@@ -43,7 +44,7 @@ def test_plan_round_trip():
                        epsilons=parse_epsilons("0.05:0.30:0.05"),
                        replicas=20, master_seed=9),
         ExperimentPlan(experiment="sprinkle", n=500, epsilons=(0.1,),
-                       eta_rule="explicit", eta=0.0398, replicas=20),
+                       eta=0.0398, replicas=20),
         ExperimentPlan(experiment="gw", epsilons=(0.05,), gw_N=2000,
                        tail_ell=10_000),
     ]
@@ -60,7 +61,7 @@ def test_plan_validation():
         ExperimentPlan(experiment="simulate",
                        epsilons=(0.1, 0.2)).validate()
     with pytest.raises(DomainError):
-        ExperimentPlan(experiment="sprinkle", eta_rule="explicit").validate()
+        ExperimentPlan(experiment="simulate", k_thresholds=(3, 0)).validate()
     with pytest.raises(DomainError):
         ExperimentPlan(experiment="gw", gw_N=2000).validate()
 
@@ -115,8 +116,8 @@ def test_explore_and_sprinkle_rows():
     assert len(explored.rows) == 3
     assert all(row[9] == "5" for row in explored.rows)
     sprinkled, _ = run(ExperimentPlan(experiment="sprinkle", n=12,
-                                      epsilons=(0.3,), eta_rule="explicit",
-                                      eta=0.2, replicas=2, master_seed=1))
+                                      epsilons=(0.3,), eta=0.2, replicas=2,
+                                      master_seed=1))
     assert len(sprinkled.rows) == 2
     assert all(row[4] == "0.2" for row in sprinkled.rows)
     assert "merged_fraction" in sprinkled.summary
@@ -246,3 +247,43 @@ def test_explore_rejects_d3_before_any_warning(capsys):
     assert main(["explore", "--d", "3", "--n", "10", "--eps", "0.001"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: explore runs on d = 2 only, got d = 3"]
+
+
+@pytest.mark.parametrize("eps", ["0:inf:1", "0:nan:1", "0.1:0.2:1e-300"])
+def test_unbounded_epsilon_range_is_a_domain_error(eps, capsys):
+    assert main(["sweep", "--n", "8", "--eps", eps]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_epsilon_range_size_cap():
+    assert len(parse_epsilons(f"0:{MAX_EPSILONS - 1}:1")) == MAX_EPSILONS
+    with pytest.raises(DomainError):
+        parse_epsilons(f"0:{MAX_EPSILONS}:1")
+
+
+@pytest.mark.parametrize("k, bad", [("0", 0), ("-5", -5), ("3,0", 0)])
+def test_k_below_one_is_rejected_before_any_warning(k, bad, capsys):
+    # eps far below the supercritical range would warn if validation ran late
+    assert main(["simulate", "--n", "8", "--eps", "0.001", "--k", k]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need k >= 1, got {bad}"]
+
+
+@pytest.mark.parametrize("line", ["replica = 3", "eta_rule = explicit"])
+def test_unknown_config_key_is_a_usage_error(line, tmp_path, capsys):
+    cfg_path = tmp_path / "plan.cfg"
+    cfg_path.write_text(f"[plan]\nn = 8\n{line}\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: unknown config key {line.split()[0]!r}"]
+
+
+def test_config_eta_is_used(tmp_path):
+    cfg_path = tmp_path / "plan.cfg"
+    cfg_path.write_text("[plan]\nn = 20\neps = 0.2\neta = 0.01\n")
+    out_csv = tmp_path / "rows.csv"
+    assert main(["sprinkle", "--config", str(cfg_path),
+                 "--out-csv", str(out_csv)]) == 0
+    row = out_csv.read_text().splitlines()[1].split(",")
+    assert row[CSV_HEADER.index("eta")] == "0.01"

@@ -7,11 +7,7 @@ from hammingperc.bruteforce import exact_expectation
 from hammingperc.calibration import LINE_OCCUPANCY_CEILING
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import PercolationConfig
-from hammingperc.exploration import (
-    ExplorationEngine,
-    explore_cluster,
-    good_line_count,
-)
+from hammingperc.exploration import ExplorationEngine, explore_cluster
 from hammingperc.rng import stream_rng
 
 
@@ -38,8 +34,8 @@ def test_full_configuration():
     assert res.T == 1
     assert not res.died_out
     assert res.cluster_size_capped == 1 + 2 * 4
-    assert good_line_count(res, 5) == 1  # only the origin's own row is full
-    assert good_line_count(res, 1) == 5
+    # the origin's own row is full, every other row holds one vertex
+    assert (res.horiz_counts == [1, 5, 1, 1, 1]).all()
 
 
 def test_argument_validation():

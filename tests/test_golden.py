@@ -36,7 +36,7 @@ PLANS = {
         master_seed=10),
     "sprinkle-h2-20": ExperimentPlan(
         experiment="sprinkle", d=2, n=20, epsilons=(0.3,),
-        eta_rule="explicit", eta=0.05, replicas=4, master_seed=12),
+        eta=0.05, replicas=4, master_seed=12),
     "explore-h2-40": ExperimentPlan(
         experiment="explore", d=2, n=40, epsilons=(0.2,),
         k_thresholds=(100,), replicas=20, master_seed=8),

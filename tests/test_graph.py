@@ -105,19 +105,15 @@ def test_lines_partition_edges(d, n):
 
 
 def test_horizontal_vertical_lines():
+    # d=2: axis 1 lines are horizontal (first coordinate fixed), axis 0
+    # lines vertical (second coordinate fixed)
     g = HammingGraph(2, 10)
-    v = g.vertex_index((3, 7))
-    assert v in g.horizontal_line(3).members
-    assert v in g.vertical_line(7).members
-    # horizontal line i sweeps the second coordinate
-    assert [g.vertex_coords(w) for w in g.horizontal_line(3).members] == [
+    assert [g.vertex_coords(w) for w in g.line(axis=1, index=3).members] == [
         (3, y) for y in range(10)
     ]
-    assert [g.vertex_coords(w) for w in g.vertical_line(7).members] == [
+    assert [g.vertex_coords(w) for w in g.line(axis=0, index=7).members] == [
         (x, 7) for x in range(10)
     ]
-    with pytest.raises(DomainError):
-        HammingGraph(3, 4).horizontal_line(0)
 
 
 def test_line_index_of():

@@ -59,6 +59,15 @@ def test_degenerate_probabilities():
     assert list(stats.sizes) == [9]
 
 
+@pytest.mark.parametrize("p", [1e-300, 5e-324])
+def test_tiny_probability_gaps_do_not_wrap(p):
+    # such a p draws gaps near 2**63, whose running sum used to wrap around
+    # to negative ranks
+    rng = np.random.default_rng(0)
+    for M in (1, 3, 190):
+        assert len(percolation._skip_sample(rng, M, p)) == 0
+
+
 def test_sampling_deterministic_per_stream():
     cfg = PercolationConfig(HammingGraph(2, 30), epsilon=0.2, seed=11)
     a = sample_configuration(cfg, stream=3)

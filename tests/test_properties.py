@@ -1,0 +1,77 @@
+"""Property checks of the rank codec, the text format and the sprinkle
+complement map over generated inputs."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hammingperc.graph import HammingGraph
+from hammingperc.percolation import (
+    OccupiedEdgeSet,
+    pair_rank,
+    ranks_to_positions,
+    sample_edges,
+)
+from hammingperc.sprinkling import _complement_ranks
+
+
+@st.composite
+def position_pairs(draw, max_n=10_000):
+    """n and a list of distinct-position pairs (a, b) on a line of length n."""
+    n = draw(st.integers(2, max_n))
+    pos = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(pos, pos).filter(lambda t: t[0] != t[1]),
+                          min_size=1, max_size=50))
+    return n, pairs
+
+
+@given(position_pairs())
+def test_pair_rank_round_trips_through_ranks_to_positions(case):
+    n, pairs = case
+    ranks = np.array([pair_rank(a, b) for a, b in pairs])
+    assert (ranks < n * (n - 1) // 2).all()
+    a, b = ranks_to_positions(ranks)
+    assert [(int(x), int(y)) for x, y in zip(a, b)] == [
+        (min(p), max(p)) for p in pairs
+    ]
+
+
+@given(st.integers(2, 10_000).flatmap(
+    lambda n: st.lists(st.integers(0, n * (n - 1) // 2 - 1), min_size=1,
+                       max_size=50)))
+def test_ranks_to_positions_inverts_pair_rank(ranks):
+    a, b = ranks_to_positions(np.array(ranks))
+    assert (a < b).all() and (a >= 0).all()
+    assert [pair_rank(int(x), int(y)) for x, y in zip(a, b)] == ranks
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 6),
+       p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_text_round_trip(d, n, p, seed):
+    g = HammingGraph(d, n)
+    occ = sample_edges(g, p, np.random.default_rng(seed))
+    back = OccupiedEdgeSet.from_text(g, occ.to_text())
+    assert len(back.ranks_by_line) == len(occ.ranks_by_line)
+    for got, want in zip(back.ranks_by_line, occ.ranks_by_line):
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def occupied_slots(draw):
+    """M slots and a sorted set of occupied ranks among them."""
+    M = draw(st.integers(0, 500))
+    occ = draw(st.sets(st.integers(0, M - 1), max_size=M)) if M else set()
+    return M, np.array(sorted(occ), dtype=np.int64)
+
+
+@given(occupied_slots(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_complement_ranks_are_sorted_vacant_slots(slots, rate, seed):
+    M, occ = slots
+    picks = _complement_ranks(occ, M, rate, np.random.default_rng(seed))
+    assert (np.diff(picks) > 0).all()
+    assert ((picks >= 0) & (picks < M)).all()
+    assert not np.isin(picks, occ).any()
+    if rate == 1.0:
+        vacant = np.setdiff1d(np.arange(M), occ)
+        assert np.array_equal(picks, vacant)
