@@ -24,9 +24,10 @@ import numpy as np
 
 from hammingperc import __version__, acceptance
 from hammingperc.branching import GWSpec, survival_probability, tail_probability
-from hammingperc.exploration import explore_cluster
+from hammingperc.exploration import ExplorationEngine
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import PercolationConfig
+from hammingperc.rng import stream_rng
 from hammingperc.sprinkling import two_round_exposure
 from hammingperc.stats import replica_summary
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("simulate", "explore", "sprinkle", "gw", "verify", "sweep")
+GRAPH_EXPERIMENTS = ("simulate", "explore", "sprinkle", "sweep")
 CSV_HEADER = ("experiment", "d", "n", "epsilon", "eta", "seed", "replica",
               "cmax", "c2", "z_k", "z_value")
 # plan keys of a config file, as written by serialize_plan
@@ -49,6 +51,16 @@ PLAN_KEYS = ("experiment", "d", "n", "eps", "eta", "k", "replicas", "seed",
              "threads", "out_csv", "out_json", "N", "tail")
 # most values a lo:hi:step epsilon range may expand to
 MAX_EPSILONS = 10_000
+# Peak bytes of one replica per item, fitted to tracemalloc peaks of
+# sprinkle replicas (simulate needs less) at H(2,1000) and H(3,60), eps 0.1
+# and 1.0, rounded up so that no measured peak is underestimated (see
+# CHANGES.md); an exploration engine costs per vertex only.
+BYTES_PER_VERTEX = 54
+BYTES_PER_LINE = 216
+BYTES_PER_EDGE = 58
+EXPLORE_BYTES_PER_VERTEX = 144
+# graph plans whose replica is estimated above this are refused
+MAX_REPLICA_BYTES = 4 * 2**30
 
 
 class UsageError(ValueError):
@@ -115,6 +127,28 @@ class ExperimentPlan:
             )
         if self.experiment == "explore" and self.d != 2:
             raise DomainError(f"explore runs on d = 2 only, got d = {self.d}")
+        if self.experiment in GRAPH_EXPERIMENTS:
+            g = HammingGraph(self.d, self.n)
+            if g.d > 64 or g.num_vertices > 2**64:
+                raise DomainError(f"H({g.d}, {g.n}) has over 2**64 vertices")
+            for eps in self.epsilons:
+                PercolationConfig(g, epsilon=eps)  # checks [-1, degree - 1]
+            need = self.replica_bytes(g)
+            if need > MAX_REPLICA_BYTES:
+                raise DomainError(
+                    f"one replica on H({self.d}, {self.n}) needs about "
+                    f"{need / 2**30:.3g} GiB; the limit is "
+                    f"{MAX_REPLICA_BYTES / 2**30:g} GiB"
+                )
+
+    def replica_bytes(self, g: HammingGraph) -> float:
+        """Estimated peak bytes of one replica of this plan on g."""
+        V = g.num_vertices
+        if self.experiment == "explore":
+            return EXPLORE_BYTES_PER_VERTEX * V
+        edges = (1.0 + max(self.epsilons)) * V / 2
+        return (BYTES_PER_VERTEX * V + BYTES_PER_LINE * g.num_lines()
+                + BYTES_PER_EDGE * edges)
 
 
 @dataclass
@@ -339,10 +373,11 @@ def _run_explore(plan: ExperimentPlan) -> tuple[list, dict]:
     else:
         cap = math.ceil(resolve_eta(plan, eps, g.num_vertices)
                         * g.num_vertices)
+    engine = ExplorationEngine(cfg)
     rows = []
     reached = 0
     for r in range(plan.replicas):
-        res = explore_cluster(cfg, (0, 0), cap=cap, stream=r)
+        res = engine.run((0, 0), cap=cap, rng=stream_rng(plan.master_seed, r))
         reached += res.cluster_size_capped >= cap
         rows.append([
             plan.experiment, _fmt(plan.d), _fmt(plan.n), _fmt(float(eps)),

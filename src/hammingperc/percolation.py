@@ -1,17 +1,17 @@
 """Bond percolation configurations on H(d, n) and their components.
 
 Edges live inside coordinate lines, each line a complete graph on n
-vertices, so a configuration is stored line by line as sorted ranks into the
-canonical pair order of K_n (pair (a, b) with a < b has rank b*(b-1)/2 + a).
-Sampling walks that order with geometric gaps, which reproduces independent
-Bernoulli(p) edges exactly while doing work proportional to the number of
-occupied edges only.
+vertices.  The pair of positions a < b on line i has rank b*(b-1)/2 + a and
+slot i*M + rank, M = n(n-1)/2; a configuration is its sorted occupied slots.
+Sampling walks each line's ranks with geometric gaps, which reproduces
+independent Bernoulli(p) edges exactly while doing work proportional to the
+number of occupied edges only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
@@ -64,12 +64,11 @@ def pair_rank(a: int, b: int) -> int:
 def ranks_to_positions(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert pair_rank for an array of ranks; returns (a, b) with a < b."""
     r = np.asarray(ranks, dtype=np.int64)
-    b = ((1.0 + np.sqrt(8.0 * r + 1.0)) // 2).astype(np.int64)
+    b = (0.5 + np.sqrt(2.0 * r + 0.25)).astype(np.int64)
     # one-step correction guards against float rounding at bucket edges
-    b = np.where(b * (b - 1) // 2 > r, b - 1, b)
-    b = np.where((b + 1) * b // 2 <= r, b + 1, b)
-    a = r - b * (b - 1) // 2
-    return a, b
+    b -= b * (b - 1) // 2 > r
+    b += (b + 1) * b // 2 <= r
+    return r - b * (b - 1) // 2, b
 
 
 def _skip_sample(rng, M: int, p: float) -> np.ndarray:
@@ -89,8 +88,10 @@ def _skip_sample(rng, M: int, p: float) -> np.ndarray:
         gaps = rng.geometric(p, size=size)
         if cap_gaps:
             np.minimum(gaps, M + 1, out=gaps)
-        ranks = pos + np.cumsum(gaps)
-        cut = int(np.searchsorted(ranks, M))
+        # ndarray methods: np.cumsum and np.searchsorted add a Python
+        # wrapper call each, which shows on graphs with many short lines
+        ranks = pos + gaps.cumsum()
+        cut = int(ranks.searchsorted(M))
         if cut < ranks.size:
             chunks.append(ranks[:cut])
             break
@@ -99,69 +100,62 @@ def _skip_sample(rng, M: int, p: float) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OccupiedEdgeSet:
-    """Occupied intra-line edges of one configuration.
-
-    ``ranks_by_line[i]`` holds the sorted canonical pair ranks of line i,
-    lines being ordered as in :meth:`HammingGraph.lines`.  Global vertex
-    pairs are derived on demand.
+    """Occupied edges of one configuration as sorted slots, lines ordered
+    as in :meth:`HammingGraph.lines`: slot k is the k-th edge of H(d, n)
+    taken line by line and rank by rank.  Vertex pairs are decoded on demand.
     """
 
     graph: HammingGraph
-    ranks_by_line: list
-    _pairs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    slots: np.ndarray
 
     @property
     def total_occupied(self) -> int:
-        return sum(len(r) for r in self.ranks_by_line)
-
-    def line_at(self, pos: int):
-        """Line object for flat line position pos (axis-major order)."""
-        per_axis = self.graph.n ** (self.graph.d - 1)
-        axis, index = divmod(pos, per_axis)
-        return self.graph.line(axis, index)
+        return len(self.slots)
 
     def pairs_by_line(self, pos: int) -> np.ndarray:
-        """(m, 2) array of occupied global vertex pairs of one line, u < v."""
-        members = self.line_at(pos).members
-        a, b = ranks_to_positions(self.ranks_by_line[pos])
+        """(m, 2) array of occupied global vertex pairs of one line, u < v,
+        decoded through its :class:`Line` (the reference for all_pairs)."""
+        g = self.graph
+        M = g.n * (g.n - 1) // 2
+        lo, hi = np.searchsorted(self.slots, [pos * M, (pos + 1) * M])
+        a, b = ranks_to_positions(self.slots[lo:hi] - pos * M)
+        members = g.line(*divmod(pos, g.n ** (g.d - 1))).members
         return np.stack([members[a], members[b]], axis=1)
 
     def all_pairs(self) -> np.ndarray:
-        """(E, 2) array of every occupied vertex pair, u < v, line by line
-        and rank by rank, decoded in one pass over all lines."""
-        if self._pairs is None:
-            n = self.graph.n
-            counts = [len(r) for r in self.ranks_by_line]
-            ranks = np.concatenate(self.ranks_by_line)
-            pos = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-            axis, index = np.divmod(pos, n ** (self.graph.d - 1))
-            # the line's frozen coordinates below ``axis`` keep their place
-            # value; those above it move up by one factor of n
-            stride = n ** axis
-            anchor = index % stride + (index // stride) * stride * n
-            a, b = ranks_to_positions(ranks)
-            self._pairs = np.stack([anchor + stride * a, anchor + stride * b],
-                                   axis=1)
-        return self._pairs
+        """(E, 2) array of every occupied vertex pair, u < v, in slot order,
+        decoded in one pass over all lines."""
+        g = self.graph
+        n = g.n
+        pos, ranks = np.divmod(self.slots, n * (n - 1) // 2)
+        axis, index = np.divmod(np.arange(g.num_lines()), n ** (g.d - 1))
+        # per line: the frozen coordinates below ``axis`` keep their place
+        # value, those above it move up by one factor of n
+        stride = n ** axis
+        above, below = np.divmod(index, stride)
+        anchor = below + above * (stride * n)
+        pairs = np.stack(ranks_to_positions(ranks), axis=1)
+        pairs *= stride[pos, None]
+        pairs += anchor[pos, None]
+        return pairs
 
     def to_text(self) -> str:
         """Debug serialization, one occupied edge per line: "axis index u v"."""
-        rows = []
-        for pos in range(len(self.ranks_by_line)):
-            if not len(self.ranks_by_line[pos]):
-                continue
-            line = self.line_at(pos)
-            for u, v in self.pairs_by_line(pos):
-                rows.append(f"{line.axis} {line.index} {u} {v}")
-        return "\n".join(rows)
+        n = self.graph.n
+        axis, index = np.divmod(self.slots // (n * (n - 1) // 2),
+                                n ** (self.graph.d - 1))
+        return "\n".join(
+            f"{a} {i} {u} {v}" for a, i, (u, v)
+            in zip(axis.tolist(), index.tolist(), self.all_pairs().tolist()))
 
     @classmethod
     def from_pairs(cls, graph: HammingGraph, pairs) -> "OccupiedEdgeSet":
         """Build from explicit vertex pairs (indices or coordinate tuples)."""
         per_axis = graph.n ** (graph.d - 1)
-        ranks = [[] for _ in range(graph.num_lines())]
+        M = graph.n * (graph.n - 1) // 2
+        slots = []
         for u, v in pairs:
             if not isinstance(u, (int, np.integer)):
                 u = graph.vertex_index(u)
@@ -173,14 +167,12 @@ class OccupiedEdgeSet:
                 raise DomainError(f"vertices {cu} and {cv} are not adjacent")
             axis = axes[0]
             pos = axis * per_axis + graph.line_index_of(u, axis)
-            ranks[pos].append(pair_rank(cu[axis], cv[axis]))
-        out = []
-        for pos, rs in enumerate(ranks):
-            arr = np.array(sorted(rs), dtype=np.int64)
-            if len(np.unique(arr)) != len(arr):
-                raise DomainError(f"duplicate edge in line position {pos}")
-            out.append(arr)
-        return cls(graph=graph, ranks_by_line=out)
+            slots.append(pos * M + pair_rank(cu[axis], cv[axis]))
+        slots = np.sort(np.array(slots, dtype=np.int64))
+        repeated = slots[1:][np.diff(slots) == 0]
+        if repeated.size:
+            raise DomainError(f"duplicate edge in line position {repeated[0] // M}")
+        return cls(graph=graph, slots=slots)
 
     @classmethod
     def from_text(cls, graph: HammingGraph, text: str) -> "OccupiedEdgeSet":
@@ -199,7 +191,9 @@ def sample_edges(g: HammingGraph, p: float, rng) -> OccupiedEdgeSet:
         raise DomainError(f"edge probability {p} outside [0, 1]")
     M = g.n * (g.n - 1) // 2
     ranks = [_skip_sample(rng, M, p) for _ in range(g.num_lines())]
-    return OccupiedEdgeSet(graph=g, ranks_by_line=ranks)
+    slots = np.concatenate(ranks)
+    slots += np.arange(0, len(ranks) * M, M).repeat([len(r) for r in ranks])
+    return OccupiedEdgeSet(graph=g, slots=slots)
 
 
 def sample_configuration(cfg: PercolationConfig, stream: int = 0) -> OccupiedEdgeSet:

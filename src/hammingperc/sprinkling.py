@@ -51,14 +51,13 @@ class SprinklingReport:
     edges_after: OccupiedEdgeSet | None = field(default=None, compare=False)
 
 
-def _complement_ranks(occ: np.ndarray, M: int, rate: float, rng) -> np.ndarray:
-    """Bernoulli(rate) subset of the M - len(occ) vacant slots, as ranks.
+def _complement_slots(occ: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Slot of each vacant slot in ``picks``, the vacant slots being
+    numbered in slot order around the sorted occupied slots ``occ``.
 
-    Slot q of the complement maps to rank q + j, with j the number of
-    occupied ranks below the result: the occupied ranks o_i with
-    o_i - i <= q.
+    Vacant slot q is slot q + j, with j the number of occupied slots below
+    it: the occupied slots o_i with o_i - i <= q.
     """
-    picks = _skip_sample(rng, M - len(occ), rate)
     return picks + np.searchsorted(occ - np.arange(len(occ)), picks,
                                    side="right")
 
@@ -113,14 +112,16 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
         ).reshape(large.size, n)
         good_lines = (per_line >= eta * V / (4.0 * n)).sum(axis=1)
 
-    # round two: sprinkle the vacant slots of every line, same stream
+    # round two: sprinkle the vacant slots of every line, same stream; the
+    # picks of line i are numbered after the vacant slots of lines < i
     M = n * (n - 1) // 2
-    combined = []
-    for occ in first.ranks_by_line:
-        extra = _complement_ranks(occ, M, rate, rng)
-        combined.append(np.sort(np.concatenate([occ, extra]))
-                        if extra.size else occ)
-    after_edges = OccupiedEdgeSet(graph=g, ranks_by_line=combined)
+    occ = first.slots
+    vacant = M - np.bincount(occ // M, minlength=g.num_lines())
+    picks = [_skip_sample(rng, w, rate) for w in vacant.tolist()]
+    offsets = np.repeat(np.cumsum(vacant) - vacant, [len(q) for q in picks])
+    extra = _complement_slots(occ, np.concatenate(picks) + offsets)
+    after_edges = OccupiedEdgeSet(graph=g,
+                                  slots=np.sort(np.concatenate([occ, extra])))
     after = connected_components(after_edges, keep_labels=True)
     # merged when every vertex of a large cluster shares one label after
     merged = after.labels[in_large]

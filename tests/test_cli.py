@@ -9,6 +9,7 @@ from hammingperc.branching import GWSpec, tail_probability
 from hammingperc.cli import (
     CSV_HEADER,
     MAX_EPSILONS,
+    MAX_REPLICA_BYTES,
     ExperimentPlan,
     _build_parser,
     _plan_from_args,
@@ -19,7 +20,7 @@ from hammingperc.cli import (
     serialize_plan,
     supercritical_regime_check,
 )
-from hammingperc.graph import DomainError
+from hammingperc.graph import DomainError, HammingGraph
 
 
 def test_parse_epsilons_forms():
@@ -260,6 +261,46 @@ def test_epsilon_range_size_cap():
     assert len(parse_epsilons(f"0:{MAX_EPSILONS - 1}:1")) == MAX_EPSILONS
     with pytest.raises(DomainError):
         parse_epsilons(f"0:{MAX_EPSILONS}:1")
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["sweep", "--n", "8", "--eps", "0.1,nan", "--replicas", "3"], "nan"),
+    (["simulate", "--n", "8", "--eps", "inf"], "inf"),
+    (["simulate", "--n", "8", "--eps", "20"], "20.0"),
+    (["explore", "--n", "8", "--eps", "-3"], "-3.0"),
+])
+def test_bad_epsilon_is_rejected_before_anything_runs(argv, bad, capsys):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no replica ran, no summary printed
+    assert err == (f"error: epsilon={bad} puts p outside [0, 1]; "
+                   "valid range is [-1, 13]\n")
+
+
+def test_oversized_plan_is_refused_before_anything_runs(capsys):
+    # V = 10^15; unguarded this runs until it is killed, so the plan alone
+    # is checked first
+    with pytest.raises(DomainError):
+        ExperimentPlan(experiment="simulate", d=3, n=100000).validate()
+    assert main(["simulate", "--d", "3", "--n", "100000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: one replica on H(3, 100000) needs about ")
+    assert err.count("\n") == 1
+    # V = 10^400 would overflow a float estimate
+    assert main(["simulate", "--n", str(10**200)]) == 3
+    assert capsys.readouterr().err.endswith(" has over 2**64 vertices\n")
+
+
+@pytest.mark.parametrize("experiment, d, n, eps", [
+    ("simulate", 2, 300, 0.15), ("simulate", 3, 60, 0.1),
+    ("simulate", 2, 1000, 0.1), ("sweep", 2, 3, 1.0),
+    ("sprinkle", 2, 500, 0.1), ("explore", 2, 300, 0.1),
+])
+def test_benchmark_shapes_pass_the_size_guard(experiment, d, n, eps):
+    plan = ExperimentPlan(experiment=experiment, d=d, n=n, epsilons=(eps,))
+    plan.validate()
+    assert plan.replica_bytes(HammingGraph(d, n)) < MAX_REPLICA_BYTES / 10
 
 
 @pytest.mark.parametrize("k, bad", [("0", 0), ("-5", -5), ("3,0", 0)])

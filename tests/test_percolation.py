@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hammingperc import percolation
+from hammingperc.bruteforce import _canonical_edges
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import (
     ClusterStats,
@@ -72,12 +73,9 @@ def test_sampling_deterministic_per_stream():
     cfg = PercolationConfig(HammingGraph(2, 30), epsilon=0.2, seed=11)
     a = sample_configuration(cfg, stream=3)
     b = sample_configuration(cfg, stream=3)
-    assert all((x == y).all() for x, y in zip(a.ranks_by_line, b.ranks_by_line))
+    assert np.array_equal(a.slots, b.slots)
     c = sample_configuration(cfg, stream=4)
-    assert any(
-        len(x) != len(y) or (x != y).any()
-        for x, y in zip(a.ranks_by_line, c.ranks_by_line)
-    )
+    assert not np.array_equal(a.slots, c.slots)
 
 
 def test_edge_set_well_formed():
@@ -85,10 +83,11 @@ def test_edge_set_well_formed():
     cfg = PercolationConfig(g, epsilon=0.5, seed=7)
     occ = sample_configuration(cfg)
     M = 20 * 19 // 2
-    assert len(occ.ranks_by_line) == g.num_lines()
-    for pos, ranks in enumerate(occ.ranks_by_line):
-        assert (np.diff(ranks) > 0).all()  # sorted, no duplicates
-        assert ranks.size == 0 or (0 <= ranks[0] and ranks[-1] < M)
+    slots = occ.slots
+    assert slots.dtype == np.int64
+    assert (np.diff(slots) > 0).all()  # sorted, no duplicates
+    assert slots.size == 0 or (0 <= slots[0] and slots[-1] < g.num_lines() * M)
+    for pos in range(g.num_lines()):
         pairs = occ.pairs_by_line(pos)
         assert (pairs[:, 0] < pairs[:, 1]).all()
         for u, v in pairs.tolist():
@@ -121,7 +120,7 @@ def test_per_line_law_is_bernoulli_product():
     counts = {}
     for r in range(seeds):
         occ = sample_configuration(cfg, stream=r)
-        key = tuple(occ.ranks_by_line[0].tolist())
+        key = tuple(occ.slots[occ.slots < 3].tolist())  # line 0: slot = rank
         counts[key] = counts.get(key, 0) + 1
     for subset, got in counts.items():
         k = len(subset)
@@ -163,13 +162,20 @@ def test_text_roundtrip():
     text = occ.to_text()
     back = OccupiedEdgeSet.from_text(occ.graph, text)
     assert back.total_occupied == occ.total_occupied
-    assert all(
-        (x == y).all() for x, y in zip(occ.ranks_by_line, back.ranks_by_line)
-    )
+    assert np.array_equal(occ.slots, back.slots)
     for row in text.splitlines():
         axis, index, u, v = map(int, row.split())
         assert 0 <= axis < 2 and 0 <= index < 6
         assert 0 <= u < v < 36
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 4)])
+def test_slots_follow_the_oracle_edge_order(d, n):
+    g = HammingGraph(d, n)
+    edges = _canonical_edges(g)
+    occ = OccupiedEdgeSet.from_pairs(g, edges)
+    np.testing.assert_array_equal(occ.slots, np.arange(g.edge_count))
+    assert occ.all_pairs().tolist() == [list(e) for e in edges]
 
 
 def test_component_sizes_partition_vertices():
@@ -204,7 +210,7 @@ def test_all_pairs_matches_per_line_decode(d, n, eps):
     for stream in range(3):
         occ = sample_configuration(cfg, stream=stream)
         want = np.concatenate(
-            [occ.pairs_by_line(pos) for pos in range(len(occ.ranks_by_line))])
+            [occ.pairs_by_line(pos) for pos in range(cfg.graph.num_lines())])
         got = occ.all_pairs()
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hammingperc.graph import HammingGraph
 from hammingperc.percolation import (
     OccupiedEdgeSet,
+    _skip_sample,
     pair_rank,
     ranks_to_positions,
     sample_edges,
 )
-from hammingperc.sprinkling import _complement_ranks
+from hammingperc.sprinkling import _complement_slots
 
 
 @st.composite
@@ -52,26 +53,35 @@ def test_text_round_trip(d, n, p, seed):
     g = HammingGraph(d, n)
     occ = sample_edges(g, p, np.random.default_rng(seed))
     back = OccupiedEdgeSet.from_text(g, occ.to_text())
-    assert len(back.ranks_by_line) == len(occ.ranks_by_line)
-    for got, want in zip(back.ranks_by_line, occ.ranks_by_line):
-        assert np.array_equal(got, want)
+    assert np.array_equal(back.slots, occ.slots)
 
 
 @st.composite
-def occupied_slots(draw):
-    """M slots and a sorted set of occupied ranks among them."""
-    M = draw(st.integers(0, 500))
-    occ = draw(st.sets(st.integers(0, M - 1), max_size=M)) if M else set()
-    return M, np.array(sorted(occ), dtype=np.int64)
+def occupied_lines(draw):
+    """L lines of M slots each and a sorted set of occupied slots among them."""
+    L = draw(st.integers(1, 4))
+    M = draw(st.integers(1, 200))
+    occ = draw(st.sets(st.integers(0, L * M - 1), max_size=L * M))
+    return L, M, np.array(sorted(occ), dtype=np.int64)
 
 
-@given(occupied_slots(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_complement_ranks_are_sorted_vacant_slots(slots, rate, seed):
-    M, occ = slots
-    picks = _complement_ranks(occ, M, rate, np.random.default_rng(seed))
-    assert (np.diff(picks) > 0).all()
-    assert ((picks >= 0) & (picks < M)).all()
-    assert not np.isin(picks, occ).any()
+@given(occupied_lines(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_complement_ranks_are_sorted_vacant_slots(lines, rate, seed):
+    L, M, occ = lines
+    rng = np.random.default_rng(seed)
+    # draw line by line, numbering the picks of a line after the vacant
+    # slots of the lines before it
+    picks, line_of_pick, vacant_before = [], [], 0
+    for i in range(L):
+        vacant = M - int(((occ >= i * M) & (occ < (i + 1) * M)).sum())
+        drawn = _skip_sample(rng, vacant, rate)
+        picks.append(drawn + vacant_before)
+        line_of_pick += [i] * len(drawn)
+        vacant_before += vacant
+    got = _complement_slots(occ, np.concatenate(picks))
+    assert (np.diff(got) > 0).all()
+    assert ((got >= 0) & (got < L * M)).all()
+    assert (got // M).tolist() == line_of_pick
+    assert not np.isin(got, occ).any()
     if rate == 1.0:
-        vacant = np.setdiff1d(np.arange(M), occ)
-        assert np.array_equal(picks, vacant)
+        assert np.array_equal(got, np.setdiff1d(np.arange(L * M), occ))

@@ -17,22 +17,24 @@ from hammingperc.calibration import (
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import (
     PercolationConfig,
+    _skip_sample,
     connected_components,
     sample_configuration,
 )
 from hammingperc.rng import stream_rng
-from hammingperc.sprinkling import _complement_ranks, two_round_exposure
+from hammingperc.sprinkling import _complement_slots, two_round_exposure
 
 
 def test_complement_mapping_matches_set_arithmetic():
-    # rate 1 picks every vacant slot, so the mapped ranks must equal the
+    # rate 1 picks every vacant slot, so the mapped slots must equal the
     # complement computed independently by numpy
     gen = np.random.default_rng(99)
     for trial in range(300):
         M = int(gen.integers(1, 40))
         k = int(gen.integers(0, M + 1))
         occ = np.sort(gen.choice(M, size=k, replace=False)).astype(np.int64)
-        got = _complement_ranks(occ, M, 1.0, stream_rng(0, trial))
+        picks = _skip_sample(stream_rng(0, trial), M - k, 1.0)
+        got = _complement_slots(occ, picks)
         np.testing.assert_array_equal(got, np.setdiff1d(np.arange(M), occ))
 
 
@@ -43,7 +45,8 @@ def test_partial_complement_picks_avoid_occupied_slots():
         occ = np.sort(
             gen.choice(M, size=int(gen.integers(0, M)), replace=False)
         ).astype(np.int64)
-        got = _complement_ranks(occ, M, 0.5, stream_rng(1, trial))
+        picks = _skip_sample(stream_rng(1, trial), M - len(occ), 0.5)
+        got = _complement_slots(occ, picks)
         assert np.all(np.diff(got) > 0)
         assert got.size == 0 or (got[0] >= 0 and got[-1] < M)
         assert not np.intersect1d(got, occ).size
@@ -106,7 +109,8 @@ def test_combined_line_distribution_matches_product_law():
     for seed in range(runs):
         cfg = PercolationConfig(g, epsilon=0.2, seed=seed)
         rep = two_round_exposure(cfg, eta=0.8, stream=0, keep_edges=True)
-        pattern = tuple(rep.edges_after.ranks_by_line[0].tolist())
+        slots = rep.edges_after.slots
+        pattern = tuple(slots[slots < 3].tolist())  # line 0: slot = rank
         counts[pattern] = counts.get(pattern, 0) + 1
     for bits in range(8):
         pattern = tuple(i for i in range(3) if bits >> i & 1)
