@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from hammingperc.percolation import (
     PercolationConfig,
     connected_components,
     sample_configuration,
-    z_geq,
 )
 from hammingperc.sprinkling import two_round_exposure
 from hammingperc.stats import (
@@ -37,6 +37,7 @@ from hammingperc.stats import (
     estimate_chi,
     estimate_cluster_tail,
     giant_lln_report,
+    replica_summaries,
     z_concentration_report,
 )
 
@@ -57,24 +58,28 @@ class CriterionResult:
                 f"[{self.seconds:7.1f}s] {self.name}: {self.details}")
 
 
+# replicas summarized at a time by _small_graph_mc, which bounds the memory
+# its per-replica summaries take
+_MC_CHUNK = 10_000
+
+
 def _small_graph_mc(epsilon: float, seed: int, replicas: int, ks):
     """Full-configuration Monte Carlo on H(2,3): cmax, chi, and tails."""
     g = HammingGraph(2, 3)
     V = g.num_vertices
     cfg = PercolationConfig(g, epsilon=epsilon, seed=seed)
-    cmax = np.empty(replicas)
-    chi = np.empty(replicas)
-    tails = {k: np.empty(replicas) for k in ks}
-    for r in range(replicas):
-        stats = connected_components(sample_configuration(cfg, stream=r))
-        cmax[r] = stats.cmax
-        chi[r] = float((stats.sizes.astype(float) ** 2).sum()) / V
-        for k in ks:
-            tails[k][r] = z_geq(stats, k) / V
+    # per replica: cmax, then Z_{>=k} at every k = 1..V, whose sum is the sum
+    # of squared component sizes
+    rows = []
+    for lo in range(0, replicas, _MC_CHUNK):
+        streams = range(lo, min(lo + _MC_CHUNK, replicas))
+        rows += [(s.cmax, *map(itemgetter(1), s.z_geq_table))
+                 for s in replica_summaries(cfg, streams, ks=range(1, V + 1))]
+    table = np.array(rows, dtype=float)
     return (
-        Estimate.from_samples(cmax),
-        Estimate.from_samples(chi),
-        {k: Estimate.from_samples(v) for k, v in tails.items()},
+        Estimate.from_samples(table[:, 0]),
+        Estimate.from_samples(table[:, 1:].sum(axis=1) / V),
+        {k: Estimate.from_samples(table[:, k] / V) for k in ks},
     )
 
 

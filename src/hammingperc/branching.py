@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from hammingperc.calibration import TAIL_DIFFERENCE_CONSTANT
 from hammingperc.graph import DomainError
@@ -62,6 +61,10 @@ class GWSpec:
 
 def progeny_pmf_array(spec: GWSpec, ks: np.ndarray) -> np.ndarray:
     """P(F = k) for an integer array of sizes k >= 1."""
+    # imported here, its one use: scipy.stats adds about 38 MB and half a
+    # second to importing the package
+    from scipy.stats import binom
+
     ks = np.asarray(ks, dtype=np.float64)
     if ks.size and ks.min() < 1:
         raise DomainError("total progeny sizes start at k = 1")

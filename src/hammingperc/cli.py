@@ -29,7 +29,7 @@ from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import PercolationConfig
 from hammingperc.rng import stream_rng
 from hammingperc.sprinkling import two_round_exposure
-from hammingperc.stats import replica_summary
+from hammingperc.stats import replica_summaries
 
 __all__ = [
     "CSV_HEADER",
@@ -135,20 +135,30 @@ class ExperimentPlan:
                 PercolationConfig(g, epsilon=eps)  # checks [-1, degree - 1]
             need = self.replica_bytes(g)
             if need > MAX_REPLICA_BYTES:
+                graph = f"H({self.d}, {self.n})"
+                workers = self._workers()
+                held = (f"one replica on {graph} needs" if workers == 1 else
+                        f"{workers} replicas at once on {graph} need")
                 raise DomainError(
-                    f"one replica on H({self.d}, {self.n}) needs about "
-                    f"{need / 2**30:.3g} GiB; the limit is "
+                    f"{held} about {need / 2**30:.3g} GiB; the limit is "
                     f"{MAX_REPLICA_BYTES / 2**30:g} GiB"
                 )
 
+    def _workers(self) -> int:
+        """Replicas held at once: one per worker process for the
+        experiments that run a pool, one otherwise."""
+        return self.threads if self.experiment in ("simulate", "sweep") else 1
+
     def replica_bytes(self, g: HammingGraph) -> float:
-        """Estimated peak bytes of one replica of this plan on g."""
+        """Estimated peak bytes of the replicas this plan holds at once on
+        g: one per worker process for simulate and sweep."""
         V = g.num_vertices
         if self.experiment == "explore":
             return EXPLORE_BYTES_PER_VERTEX * V
         edges = (1.0 + max(self.epsilons)) * V / 2
-        return (BYTES_PER_VERTEX * V + BYTES_PER_LINE * g.num_lines()
-                + BYTES_PER_EDGE * edges)
+        return self._workers() * (BYTES_PER_VERTEX * V
+                                  + BYTES_PER_LINE * g.num_lines()
+                                  + BYTES_PER_EDGE * edges)
 
 
 @dataclass
@@ -323,37 +333,39 @@ def supercritical_regime_check(plan: ExperimentPlan) -> list[str]:
     return notes
 
 
-def _simulate_task(args: tuple) -> tuple:
-    d, n, eps, seed, replica, ks = args
+def _simulate_task(args: tuple) -> list:
+    d, n, eps, seed, streams, ks = args
     cfg = PercolationConfig(HammingGraph(d, n), epsilon=eps, seed=seed)
-    summary = replica_summary(cfg, replica, ks)
-    return summary.cmax, summary.c2, summary.z_geq_table
+    return replica_summaries(cfg, streams, ks)
 
 
 def _run_simulate(plan: ExperimentPlan) -> tuple[list, dict]:
+    # each epsilon's streams in `threads` contiguous chunks, one task each
+    R, T = plan.replicas, plan.threads
     tasks = [
-        (plan.d, plan.n, eps, plan.master_seed, r, plan.k_thresholds)
+        (plan.d, plan.n, eps, plan.master_seed,
+         range(R * i // T, R * (i + 1) // T), plan.k_thresholds)
         for eps in plan.epsilons
-        for r in range(plan.replicas)
+        for i in range(T)
     ]
-    if plan.threads > 1:
-        with ProcessPoolExecutor(max_workers=plan.threads) as pool:
+    if T > 1:
+        with ProcessPoolExecutor(max_workers=T) as pool:
             results = list(pool.map(_simulate_task, tasks))
     else:
         results = [_simulate_task(t) for t in tasks]
 
     rows = []
     cmax_by_eps: dict[float, list] = {}
-    for (d, n, eps, seed, replica, _ks), (cmax, c2, table) in zip(
-        tasks, results
-    ):
-        cmax_by_eps.setdefault(eps, []).append(cmax)
-        base = [plan.experiment, _fmt(d), _fmt(n), _fmt(float(eps)), "",
-                _fmt(seed), _fmt(replica), _fmt(cmax), _fmt(c2)]
-        if table:
-            rows += [base + [_fmt(k), _fmt(z)] for k, z in table]
-        else:
-            rows.append(base + ["", ""])
+    for (d, n, eps, seed, _streams, _ks), summaries in zip(tasks, results):
+        head = [plan.experiment, _fmt(d), _fmt(n), _fmt(float(eps)), "",
+                _fmt(seed)]
+        for s in summaries:
+            cmax_by_eps.setdefault(eps, []).append(s.cmax)
+            base = head + [_fmt(s.seed), _fmt(s.cmax), _fmt(s.c2)]
+            if s.z_geq_table:
+                rows += [base + [_fmt(k), _fmt(z)] for k, z in s.z_geq_table]
+            else:
+                rows.append(base + ["", ""])
     summary = {
         "replicas": plan.replicas,
         "median_cmax_by_epsilon": {

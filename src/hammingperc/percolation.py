@@ -10,6 +10,8 @@ number of occupied edges only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ __all__ = [
     "OccupiedEdgeSet",
     "PercolationConfig",
     "UnionFind",
+    "batch_components",
     "connected_components",
     "sample_configuration",
     "sample_edges",
@@ -71,6 +74,17 @@ def ranks_to_positions(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r - b * (b - 1) // 2, b
 
 
+def _gap_count(M: int, p: float) -> int:
+    """Geometric gaps drawn per chunk: enough to clear M slots at rate p in
+    one chunk almost always."""
+    return int(M * p + 4.0 * math.sqrt(M * p) + 16.0)
+
+
+# below this p the gaps come near 2**63 and their sum wraps around; any gap
+# past M ends a line's sample, so capping gaps at M + 1 changes no rank
+_CAP_GAPS_BELOW = 1e-9
+
+
 def _skip_sample(rng, M: int, p: float) -> np.ndarray:
     """Sorted ranks of occupied slots among M independent Bernoulli(p) slots."""
     if p <= 0.0 or M == 0:
@@ -79,11 +93,8 @@ def _skip_sample(rng, M: int, p: float) -> np.ndarray:
         return np.arange(M, dtype=np.int64)
     chunks = []
     pos = -1
-    # enough gap draws to clear M slots in one batch almost always
-    size = int(M * p + 4.0 * math.sqrt(M * p) + 16.0)
-    # below this p the gaps come near 2**63 and their sum wraps around;
-    # any gap past M ends the sample, so capping it there changes no rank
-    cap_gaps = p < 1e-9
+    size = _gap_count(M, p)
+    cap_gaps = p < _CAP_GAPS_BELOW
     while True:
         gaps = rng.geometric(p, size=size)
         if cap_gaps:
@@ -185,14 +196,35 @@ class OccupiedEdgeSet:
         return cls.from_pairs(graph, pairs)
 
 
+@functools.lru_cache(maxsize=64)
+def _line_starts(L: int, M: int) -> np.ndarray:
+    """Column of line offsets i*M - 1, read-only: it is shared by every
+    matrix-sampled configuration of one shape."""
+    starts = np.arange(-1, L * M - 1, M)[:, None]
+    starts.flags.writeable = False
+    return starts
+
+
 def sample_edges(g: HammingGraph, p: float, rng) -> OccupiedEdgeSet:
     """Independent Bernoulli(p) edges of H(d, n) drawn from ``rng``."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability {p} outside [0, 1]")
     M = g.n * (g.n - 1) // 2
-    ranks = [_skip_sample(rng, M, p) for _ in range(g.num_lines())]
+    L = g.num_lines()
+    size = _gap_count(M, p)
+    if 0.0 < p < 1.0 and size > M:
+        # every gap is at least 1, so each line clears in its first chunk of
+        # `size` gaps: the lines' draws are exactly the rows of one matrix
+        gaps = rng.geometric(p, size=(L, size))
+        if p < _CAP_GAPS_BELOW:
+            np.minimum(gaps, M + 1, out=gaps)
+        ends = gaps.cumsum(axis=1, out=gaps)  # rank + 1 within the line
+        inside = ends <= M
+        ends += _line_starts(L, M)
+        return OccupiedEdgeSet(graph=g, slots=ends[inside])
+    ranks = [_skip_sample(rng, M, p) for _ in range(L)]
     slots = np.concatenate(ranks)
-    slots += np.arange(0, len(ranks) * M, M).repeat([len(r) for r in ranks])
+    slots += np.arange(0, L * M, M).repeat([len(r) for r in ranks])
     return OccupiedEdgeSet(graph=g, slots=slots)
 
 
@@ -261,13 +293,14 @@ class ClusterStats:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sizes.size and (np.diff(self.sizes) > 0).any():
+        if np.count_nonzero(self.sizes[1:] > self.sizes[:-1]):
             raise DomainError("sizes must be sorted descending")
 
 
 # Graphs of at most this many vertices go through UnionFind: csgraph's
 # sparse-matrix validation costs about 0.25 ms per call at any size, and the
 # Python union-find is cheaper up to about this size (see CHANGES.md).
+# Runs of replicas on such graphs go through batch_components instead.
 UNION_FIND_MAX_VERTICES = 1024
 
 
@@ -295,6 +328,67 @@ def connected_components(occupied: OccupiedEdgeSet,
         c2=int(sizes[1]) if sizes.size > 1 else 0,
         labels=labels,
     )
+
+
+# Most vertices stacked into one csgraph call by batch_components.  A batch
+# peaks at about 72 bytes per stacked vertex, results included (tracemalloc
+# at H(2,3) and H(2,32)), so 4.7 MB here; batches of 2**14 to 2**20
+# vertices take the same time per replica (see CHANGES.md).
+BATCH_MAX_VERTICES = 2**16
+
+
+def batch_components(configs) -> list[ClusterStats]:
+    """Components of many configurations of one graph: the ClusterStats,
+    without labels, that :func:`connected_components` gives one by one.
+
+    Replica r's vertices are offset by r*V, so a batch is one block-diagonal
+    graph: one decode, one csgraph call and one sort serve all of it, which
+    pays csgraph's fixed cost once per batch instead of once per replica.
+    ``configs`` may be any iterable; it is consumed one batch of at most
+    BATCH_MAX_VERTICES stacked vertices at a time.
+    """
+    configs = iter(configs)
+    first = next(configs, None)
+    if first is None:
+        return []
+    g = first.graph
+    per_batch = max(1, BATCH_MAX_VERTICES // g.num_vertices)
+    configs = itertools.chain([first], configs)
+    out = []
+    while batch := list(itertools.islice(configs, per_batch)):
+        if any(c.graph is not g and c.graph != g for c in batch):
+            raise DomainError("batched configurations must share one graph")
+        out += _components_of_batch(batch)
+    return out
+
+
+def _components_of_batch(configs) -> list[ClusterStats]:
+    g = configs[0].graph
+    V = g.num_vertices
+    R = len(configs)
+    counts = [c.total_occupied for c in configs]
+    pairs = OccupiedEdgeSet(
+        graph=g, slots=np.concatenate([c.slots for c in configs])).all_pairs()
+    pairs += np.arange(0, R * V, V).repeat(counts)[:, None]
+    adjacency = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(R * V, R * V))
+    num, labels = csgraph.connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels)
+    owner = np.empty(num, dtype=np.int64)
+    owner[labels] = np.arange(R * V) // V
+    # by replica, then largest first
+    sizes = sizes[np.lexsort((-sizes, owner))]
+    per_replica = np.bincount(owner, minlength=R)
+    ends = per_replica.cumsum()
+    starts = ends - per_replica
+    cmax = sizes[starts]
+    c2 = np.where(per_replica > 1,
+                  sizes[np.minimum(starts + 1, sizes.size - 1)], 0)
+    return [
+        ClusterStats(sizes=sizes[a:b], cmax=m, c2=c)
+        for a, b, m, c in zip(starts.tolist(), ends.tolist(), cmax.tolist(),
+                              c2.tolist())
+    ]
 
 
 def z_geq(stats: ClusterStats, k: int) -> int:

@@ -8,7 +8,10 @@ success indicator is a nonincreasing function of k along a fixed stream.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +21,15 @@ from hammingperc.branching import GWSpec, survival_probability
 from hammingperc.exploration import ExplorationEngine
 from hammingperc.graph import DomainError
 from hammingperc.percolation import (
+    UNION_FIND_MAX_VERTICES,
+    ClusterStats,
     PercolationConfig,
+    batch_components,
     connected_components,
     sample_configuration,
-    z_geq,
+    sample_edges,
 )
-from hammingperc.rng import stream_rng
+from hammingperc.rng import stream_rng, stream_rngs
 
 __all__ = [
     "Estimate",
@@ -33,6 +39,7 @@ __all__ = [
     "estimate_chi",
     "estimate_cluster_tail",
     "giant_lln_report",
+    "replica_summaries",
     "replica_summary",
     "wilson_interval",
     "z_concentration_report",
@@ -99,25 +106,57 @@ class ReplicaSummary:
     def __post_init__(self):
         if self.cmax < self.c2:
             raise DomainError("cmax smaller than the second component")
-        ks = [k for k, _ in self.z_geq_table]
-        zs = [z for _, z in self.z_geq_table]
-        if any(a >= b for a, b in zip(ks, ks[1:])):
+        ks, zs = zip(*self.z_geq_table) if self.z_geq_table else ((), ())
+        if any(map(operator.ge, ks, ks[1:])):
             raise DomainError("thresholds must increase strictly")
-        if any(a < b for a, b in zip(zs, zs[1:])):
+        if any(map(operator.lt, zs, zs[1:])):
             raise DomainError("Z values cannot increase with k")
 
 
-def replica_summary(cfg: PercolationConfig, replica: int,
-                    ks=()) -> ReplicaSummary:
-    """Sample one configuration on stream ``replica`` and summarize it."""
-    stats = connected_components(sample_configuration(cfg, stream=replica))
-    table = tuple((int(k), z_geq(stats, int(k))) for k in sorted(set(ks)))
+def replica_summary(cfg: PercolationConfig, replica: int, ks=(),
+                    stats: ClusterStats | None = None) -> ReplicaSummary:
+    """Summarize the configuration on stream ``replica``: sample it and take
+    its components, or use ``stats`` when they are already known."""
+    if stats is None:
+        stats = connected_components(sample_configuration(cfg, stream=replica))
+    ks = sorted(set(map(int, ks)))
+    if ks and ks[0] < 1:
+        raise DomainError(f"need k >= 1, got {ks[0]}")
+    zs = []
+    if ks:
+        # only the sizes >= the smallest k count, and they lead the sizes
+        # (largest first); over them in ascending order, Z_{>=k} is the
+        # total minus one prefix sum, found by bisection
+        s = stats.sizes
+        head = s[:s.size - int(s[::-1].searchsorted(ks[0]))].tolist()
+        head.reverse()
+        below = list(itertools.accumulate(head, initial=0))
+        zs = [below[-1] - below[bisect.bisect_left(head, k)] for k in ks]
     return ReplicaSummary(
         seed=replica,
         cmax=stats.cmax,
         c2=stats.c2,
-        z_geq_table=table,
+        z_geq_table=tuple(zip(ks, zs)),
     )
+
+
+def replica_summaries(cfg: PercolationConfig, streams,
+                      ks=()) -> list[ReplicaSummary]:
+    """``[replica_summary(cfg, r, ks) for r in streams]``, with the same draws.
+
+    On graphs of at most UNION_FIND_MAX_VERTICES vertices, where a
+    components call costs more in fixed overhead than in work, the
+    configurations are sampled on one re-keyed generator and their
+    components taken in batches by :func:`batch_components`.
+    """
+    streams = list(streams)
+    g = cfg.graph
+    if g.num_vertices > UNION_FIND_MAX_VERTICES:
+        return [replica_summary(cfg, r, ks) for r in streams]
+    configs = (sample_edges(g, cfg.p, rng)
+               for rng in stream_rngs(cfg.seed, streams))
+    return [replica_summary(cfg, r, ks, stats=stats)
+            for r, stats in zip(streams, batch_components(configs))]
 
 
 def estimate_chi(cfg: PercolationConfig, samples: int,
@@ -176,7 +215,7 @@ def z_concentration_report(cfg: PercolationConfig, k: int,
     """Across-replica spread of Z_{>=k}, normalized by eps*V."""
     if replicas < 2:
         raise DomainError(f"need replicas >= 2, got {replicas}")
-    summaries = [replica_summary(cfg, r, ks=(k,)) for r in range(replicas)]
+    summaries = replica_summaries(cfg, range(replicas), ks=(k,))
     zs = np.array([s.z_geq_table[0][1] for s in summaries], dtype=float)
     V = cfg.graph.num_vertices
     eps = cfg.epsilon
@@ -203,7 +242,7 @@ def giant_lln_report(cfg: PercolationConfig, replicas: int) -> Report:
         raise DomainError("the largest-component law needs epsilon > 0")
     if replicas < 1:
         raise DomainError(f"need replicas >= 1, got {replicas}")
-    summaries = [replica_summary(cfg, r) for r in range(replicas)]
+    summaries = replica_summaries(cfg, range(replicas))
     V = cfg.graph.num_vertices
     eps = cfg.epsilon
     fractions = np.array([s.cmax / V for s in summaries])
@@ -249,7 +288,7 @@ def duality_diagnostic(cfg: PercolationConfig, replicas: int) -> Report:
         )
     if replicas < 1:
         raise DomainError(f"need replicas >= 1, got {replicas}")
-    summaries = [replica_summary(cfg, r) for r in range(replicas)]
+    summaries = replica_summaries(cfg, range(replicas))
     scale = eps * eps / (2.0 * math.log(eps ** 3 * V))
     ratios = np.array([s.c2 * scale for s in summaries])
     return Report(

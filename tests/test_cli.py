@@ -1,6 +1,10 @@
 """Plan round-trips, output schema pins, and exit-code behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -91,14 +95,18 @@ def test_identical_plans_give_identical_csv_bytes():
 
 
 def test_parallel_and_serial_runs_agree():
-    serial = ExperimentPlan(experiment="simulate", n=10, epsilons=(0.25,),
-                            k_thresholds=(3,), replicas=4, master_seed=5)
-    parallel = ExperimentPlan(experiment="simulate", n=10, epsilons=(0.25,),
-                              k_thresholds=(3,), replicas=4, master_seed=5,
-                              threads=2)
-    a, _ = run(serial)
-    b, _ = run(parallel)
-    assert a.to_csv() == b.to_csv()
+    # H(2,10) and the H(2,3) sweep both run batched; each worker takes a
+    # contiguous block of each epsilon's streams
+    for serial in (
+        ExperimentPlan(experiment="simulate", n=10, epsilons=(0.25,),
+                       k_thresholds=(3,), replicas=4, master_seed=5),
+        ExperimentPlan(experiment="sweep", n=3,
+                       epsilons=parse_epsilons("-0.6:1.0:0.8"),
+                       k_thresholds=(2, 4, 6), replicas=40, master_seed=101),
+    ):
+        a, _ = run(serial)
+        b, _ = run(replace(serial, threads=2))
+        assert a.to_csv() == b.to_csv()
 
 
 def test_sweep_emits_one_row_per_eps_replica():
@@ -290,6 +298,30 @@ def test_oversized_plan_is_refused_before_anything_runs(capsys):
     # V = 10^400 would overflow a float estimate
     assert main(["simulate", "--n", str(10**200)]) == 3
     assert capsys.readouterr().err.endswith(" has over 2**64 vertices\n")
+
+
+def test_size_guard_counts_every_worker_of_a_pool():
+    # validate only: a missed refusal must not start four workers
+    plan = ExperimentPlan(experiment="simulate", n=4000, epsilons=(0.1,))
+    one = plan.replica_bytes(HammingGraph(2, 4000))
+    assert one < MAX_REPLICA_BYTES < 4 * one
+    plan.validate()
+    pooled = replace(plan, threads=4)
+    assert pooled.replica_bytes(HammingGraph(2, 4000)) == 4 * one
+    with pytest.raises(DomainError, match="^4 replicas at once on H.2, 4000. "
+                                          "need about 5.13 GiB"):
+        pooled.validate()
+    # explore and sprinkle run no pool
+    replace(pooled, experiment="sprinkle").validate()
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import hammingperc, sys; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("experiment, d, n, eps", [

@@ -10,12 +10,16 @@ from hammingperc.percolation import (
     ClusterStats,
     OccupiedEdgeSet,
     PercolationConfig,
+    _skip_sample,
+    batch_components,
     connected_components,
     pair_rank,
     ranks_to_positions,
     sample_configuration,
+    sample_edges,
     z_geq,
 )
+from hammingperc.rng import stream_rng
 
 
 G23 = HammingGraph(2, 3)
@@ -234,3 +238,44 @@ def test_union_find_and_csgraph_paths_agree(d, n, monkeypatch):
         np.testing.assert_array_equal(by_union_find.sizes, by_csgraph.sizes)
         assert by_union_find.sizes.sum() == cfg.graph.num_vertices
         assert _same_partition(by_union_find.labels, by_csgraph.labels)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                  (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("p", [1e-12, 0.1, 0.5, 0.999, 1.0])
+def test_one_matrix_sampler_matches_the_per_line_sampler(d, n, p):
+    # these lines are short enough to clear in one chunk of gaps, which is
+    # when sample_edges draws them all as one matrix
+    g = HammingGraph(d, n)
+    M = n * (n - 1) // 2
+    for stream in range(10):
+        got = sample_edges(g, p, stream_rng(7, stream)).slots
+        rng = stream_rng(7, stream)
+        want = np.concatenate([_skip_sample(rng, M, p) + line * M
+                               for line in range(g.num_lines())])
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 12), (2, 40)])
+def test_batch_components_matches_one_call_per_config(d, n, monkeypatch):
+    g = HammingGraph(d, n)
+    empty = OccupiedEdgeSet(graph=g, slots=np.empty(0, dtype=np.int64))
+    configs = [empty]
+    for p in (0.5 / g.degree, 1.5 / g.degree, 0.5, 1.0):
+        configs += [sample_edges(g, p, stream_rng(3, s)) for s in range(12)]
+    configs.append(empty)
+    # one batch, and batches that split the list, down to one config each
+    for cap in (percolation.BATCH_MAX_VERTICES, 5 * g.num_vertices, 1):
+        monkeypatch.setattr(percolation, "BATCH_MAX_VERTICES", cap)
+        got = batch_components(iter(configs))
+        assert len(got) == len(configs)
+        for occ, stats in zip(configs, got):
+            want = connected_components(occ)
+            np.testing.assert_array_equal(stats.sizes, want.sizes)
+            assert (stats.cmax, stats.c2) == (want.cmax, want.c2)
+            assert type(stats.cmax) is int and type(stats.c2) is int
+    assert batch_components([]) == []
+    with pytest.raises(DomainError):
+        batch_components([empty, sample_edges(HammingGraph(2, 4), 0.5,
+                                              stream_rng(3, 0))])

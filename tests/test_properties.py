@@ -1,5 +1,5 @@
-"""Property checks of the rank codec, the text format and the sprinkle
-complement map over generated inputs."""
+"""Property checks of the rank codec, the text format, the sprinkle
+complement map and the re-keyed random streams over generated inputs."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from hammingperc.percolation import (
     ranks_to_positions,
     sample_edges,
 )
+from hammingperc.rng import stream_rng, stream_rngs
 from hammingperc.sprinkling import _complement_slots
 
 
@@ -85,3 +86,30 @@ def test_complement_ranks_are_sorted_vacant_slots(lines, rate, seed):
     assert not np.isin(got, occ).any()
     if rate == 1.0:
         assert np.array_equal(got, np.setdiff1d(np.arange(L * M), occ))
+
+
+# one draw of each kind the package makes: sampling (geometric), exploration
+# (binomial, bounded integers, which buffer 32-bit halves) and floats
+DRAWS = {
+    "geometric": lambda rng, x: rng.geometric(0.05 + 0.9 * x, size=3),
+    "binomial": lambda rng, x: rng.binomial(int(40 * x), 0.3, size=2),
+    "integers": lambda rng, x: rng.integers(1 + int(1000 * x), size=3),
+    "integer": lambda rng, x: rng.integers(2 + int(1000 * x)),
+    "random": lambda rng, x: rng.random(2),
+}
+seeds = st.one_of(st.integers(-2**64, 2**64 + 5),
+                  st.integers(2**63 - 2, 2**63 + 2), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, streams=st.lists(seeds, min_size=1, max_size=6),
+       draws=st.lists(st.tuples(st.sampled_from(sorted(DRAWS)),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_rekeyed_streams_draw_what_fresh_streams_draw(seed, streams, draws):
+    # every stream, however the one before it left the generator, starts
+    # where a freshly keyed Philox starts
+    for stream, rekeyed in zip(streams, stream_rngs(seed, streams)):
+        fresh = stream_rng(seed, stream)
+        for kind, x in draws:
+            np.testing.assert_array_equal(DRAWS[kind](rekeyed, x),
+                                          DRAWS[kind](fresh, x))

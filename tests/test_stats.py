@@ -8,7 +8,12 @@ import pytest
 from hammingperc.branching import GWSpec, tail_probability
 from hammingperc.bruteforce import exact_expectation
 from hammingperc.graph import DomainError, HammingGraph
-from hammingperc.percolation import PercolationConfig
+from hammingperc.percolation import (
+    PercolationConfig,
+    connected_components,
+    sample_configuration,
+    z_geq,
+)
 from hammingperc.stats import (
     Estimate,
     ReplicaSummary,
@@ -16,6 +21,7 @@ from hammingperc.stats import (
     estimate_chi,
     estimate_cluster_tail,
     giant_lln_report,
+    replica_summaries,
     replica_summary,
     wilson_interval,
     z_concentration_report,
@@ -198,3 +204,25 @@ def test_replica_summary_function_consistency():
     again = replica_summary(cfg, replica=4, ks=(1, 3, 7))
     assert again.z_geq_table == summary.z_geq_table
     assert (again.cmax, again.c2) == (summary.cmax, summary.c2)
+
+
+@pytest.mark.parametrize("d, n, eps", [(2, 3, 0.0), (2, 3, 3.0), (3, 4, 0.4),
+                                       (2, 33, 0.2)])
+def test_replica_summaries_equal_one_summary_per_replica(d, n, eps):
+    # H(2,33) has 1,089 vertices and takes the unbatched path
+    cfg = PercolationConfig(HammingGraph(d, n), epsilon=eps, seed=29)
+    R = 6 if n == 33 else 60
+    for ks in ((), (2, 4, 6), (9, 1, 4, 4)):
+        assert replica_summaries(cfg, range(R), ks) == [
+            replica_summary(cfg, r, ks) for r in range(R)]
+    # the table against the one-threshold reference z_geq
+    V = cfg.graph.num_vertices
+    ks = tuple(sorted({1, 2, 3, 5, 8, V - 1, V, V + 1}))
+    for r, summary in enumerate(replica_summaries(cfg, range(R), ks)):
+        stats = connected_components(sample_configuration(cfg, stream=r))
+        assert summary.z_geq_table == tuple((k, z_geq(stats, k)) for k in ks)
+        assert (summary.cmax, summary.c2) == (stats.cmax, stats.c2)
+    streams = [5, 2**63, 3]
+    assert replica_summaries(cfg, streams, (1, 2)) == [
+        replica_summary(cfg, r, (1, 2)) for r in streams]
+    assert replica_summaries(cfg, range(0)) == []
