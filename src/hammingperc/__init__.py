@@ -8,7 +8,7 @@ from hammingperc.branching import (
     survival_probability,
     tail_probability,
 )
-from hammingperc.exploration import ExplorationEngine, explore_cluster
+from hammingperc.exploration import ExplorationEngine
 from hammingperc.graph import DomainError, HammingGraph, Line
 from hammingperc.percolation import (
     ClusterStats,
@@ -42,7 +42,6 @@ __all__ = [
     "connected_components",
     "estimate_chi",
     "estimate_cluster_tail",
-    "explore_cluster",
     "extinction_probability",
     "giant_lln_report",
     "sample_configuration",

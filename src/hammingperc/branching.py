@@ -6,7 +6,7 @@ hitting-time identity
 
     P(F = k) = (1/k) * P(Bin(k*N, p) = k - 1),
 
-so tails and interval masses are finite sums of binomial point masses.
+so tails are finite sums of binomial point masses.
 Extinction probabilities come from the fixed point of the generating
 function, reached by monotone iteration from zero.
 """
@@ -18,21 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hammingperc.calibration import TAIL_DIFFERENCE_CONSTANT
 from hammingperc.graph import DomainError
-from hammingperc.rng import stream_rng
 
 __all__ = [
     "GWSpec",
     "GWTail",
-    "TailDifference",
     "extinction_probability",
-    "interval_probability",
     "progeny_pmf",
     "progeny_pmf_array",
-    "simulate_gw_batch",
     "survival_probability",
-    "tail_difference",
     "tail_probability",
 ]
 
@@ -141,59 +135,3 @@ def tail_probability(spec: GWSpec, ell: int) -> float:
         return 1.0
     pmf = progeny_pmf_array(spec, np.arange(1, ell, dtype=np.int64))
     return 1.0 - math.fsum(pmf)
-
-
-def interval_probability(spec: GWSpec, ell: int) -> float:
-    """P(ell <= F <= 2*ell)."""
-    if ell < 1:
-        raise DomainError(f"need ell >= 1, got {ell}")
-    pmf = progeny_pmf_array(spec, np.arange(ell, 2 * ell + 1, dtype=np.int64))
-    return math.fsum(pmf)
-
-
-@dataclass(frozen=True)
-class TailDifference:
-    """Exact tail gap of two offspring laws, with its theoretical ceiling."""
-
-    value: float
-    bound: float
-
-
-def tail_difference(spec_a: GWSpec, spec_b: GWSpec, ell: int) -> TailDifference:
-    """|P_a(F >= ell) - P_b(F >= ell)| for two supercritical laws sharing p,
-    with N_a >= N_b, next to the ceiling C*(|eps_a - eps_b| + 1/(N_a*sqrt(ell))
-    + 1/ell**3)."""
-    if spec_a.p != spec_b.p:
-        raise DomainError("tail comparison assumes a common edge probability p")
-    if spec_a.N < spec_b.N:
-        raise DomainError("expected N_a >= N_b")
-    if spec_a.epsilon <= 0.0 or spec_b.epsilon <= 0.0:
-        raise DomainError("tail comparison is for supercritical laws only")
-    value = abs(tail_probability(spec_a, ell) - tail_probability(spec_b, ell))
-    bound = TAIL_DIFFERENCE_CONSTANT * (
-        abs(spec_a.epsilon - spec_b.epsilon)
-        + 1.0 / (spec_a.N * math.sqrt(ell))
-        + 1.0 / ell**3
-    )
-    return TailDifference(value=value, bound=bound)
-
-
-def simulate_gw_batch(spec: GWSpec, cap: int, samples: int, seed: int) -> np.ndarray:
-    """Capped total progeny of ``samples`` independent trees.
-
-    Generation sizes are simulated directly: the children of a generation of
-    g individuals are one Bin(g*N, p) draw.
-    """
-    if cap < 1:
-        raise DomainError(f"need cap >= 1, got {cap}")
-    rng = stream_rng(seed, 0)
-    total = np.ones(samples, dtype=np.int64)
-    current = np.ones(samples, dtype=np.int64)
-    active = np.arange(samples)
-    while active.size:
-        draw = rng.binomial(current[active] * spec.N, spec.p)
-        total[active] += draw
-        current[active] = draw
-        keep = (draw > 0) & (total[active] < cap)
-        active = active[keep]
-    return np.minimum(total, cap)

@@ -21,13 +21,8 @@ import numpy as np
 
 from hammingperc.graph import DomainError
 from hammingperc.percolation import PercolationConfig
-from hammingperc.rng import stream_rng
 
-__all__ = [
-    "ExplorationEngine",
-    "ExplorationResult",
-    "explore_cluster",
-]
+__all__ = ["ExplorationEngine", "ExplorationResult"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class ExplorationEngine:
     def __init__(self, cfg: PercolationConfig):
         if cfg.graph.d != 2:
             raise DomainError("line exploration is defined for d = 2 only")
-        self.cfg = cfg
         self.graph = cfg.graph
         self.p = cfg.p
         n = cfg.graph.n
@@ -82,7 +76,7 @@ class ExplorationEngine:
         members.pop()
         pos[val] = -1
 
-    def run(self, origin, cap: int | None = None, rng=None,
+    def run(self, origin, rng, cap: int | None = None,
             keep_members: bool = False) -> ExplorationResult:
         n = self.n
         g = self.graph
@@ -96,8 +90,6 @@ class ExplorationEngine:
         if cap < 1:
             raise DomainError(f"need cap >= 1, got {cap}")
         cap = min(cap, g.num_vertices)
-        if rng is None:
-            rng = stream_rng(self.cfg.seed, 0)
         p = self.p
 
         white_h, white_v = self._white_h, self._white_v
@@ -167,15 +159,3 @@ class ExplorationEngine:
             vert_counts=vc,
             members=members,
         )
-
-
-def explore_cluster(cfg: PercolationConfig, v0, cap: int | None = None,
-                    stream: int = 0, keep_members: bool = False) -> ExplorationResult:
-    """One exploration from v0; see :class:`ExplorationEngine`.
-
-    Builds throwaway engine state, so estimators running many explorations
-    should hold an engine and call :meth:`ExplorationEngine.run` instead.
-    """
-    engine = ExplorationEngine(cfg)
-    rng = stream_rng(cfg.seed, stream)
-    return engine.run(v0, cap=cap, rng=rng, keep_members=keep_members)

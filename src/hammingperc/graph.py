@@ -88,22 +88,6 @@ class HammingGraph:
             out.append(c)
         return tuple(out)
 
-    def neighbors(self, v: int) -> list[int]:
-        """Indices of the d*(n-1) vertices differing from v in one coordinate."""
-        if not 0 <= v < self.num_vertices:
-            raise DomainError(f"vertex index {v} outside [0, {self.num_vertices})")
-        out = []
-        stride = 1
-        rem = v
-        for _ in range(self.d):
-            c = rem % self.n
-            for c2 in range(self.n):
-                if c2 != c:
-                    out.append(v + (c2 - c) * stride)
-            stride *= self.n
-            rem //= self.n
-        return out
-
     # -- coordinate lines --------------------------------------------------
 
     def num_lines(self) -> int:

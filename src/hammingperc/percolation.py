@@ -25,7 +25,6 @@ __all__ = [
     "ClusterStats",
     "OccupiedEdgeSet",
     "PercolationConfig",
-    "UnionFind",
     "batch_components",
     "connected_components",
     "sample_configuration",
@@ -234,6 +233,7 @@ def sample_configuration(cfg: PercolationConfig, stream: int = 0) -> OccupiedEdg
     return sample_edges(cfg.graph, cfg.p, stream_rng(cfg.seed, stream))
 
 
+# Unused by the package; kept as bench/run.py's tracer wraps it by name.
 class UnionFind:
     """Disjoint sets over range(V), path halving plus union by size."""
 
@@ -266,20 +266,6 @@ class UnionFind:
                      reverse=True)
         return np.array(out, dtype=np.int64)
 
-    def labels(self) -> np.ndarray:
-        """Per-item root, fully compressing every path on the way."""
-        parent = self.parent
-        lab = np.empty(len(parent), dtype=np.int64)
-        for v in range(len(parent)):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            w = v  # compress the walked path
-            while parent[w] != r:
-                parent[w], w = r, parent[w]
-            lab[v] = r
-        return lab
-
 
 @dataclass(frozen=True)
 class ClusterStats:
@@ -288,8 +274,8 @@ class ClusterStats:
     sizes: np.ndarray
     cmax: int
     c2: int
-    # on request: a component label per vertex; equal labels mean the same
-    # component
+    # a component label per vertex, equal labels meaning the same component;
+    # None only from batch_components
     labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -297,31 +283,15 @@ class ClusterStats:
             raise DomainError("sizes must be sorted descending")
 
 
-# Graphs of at most this many vertices go through UnionFind: csgraph's
-# sparse-matrix validation costs about 0.25 ms per call at any size, and the
-# Python union-find is cheaper up to about this size (see CHANGES.md).
-# Runs of replicas on such graphs go through batch_components instead.
-UNION_FIND_MAX_VERTICES = 1024
-
-
-def connected_components(occupied: OccupiedEdgeSet,
-                         keep_labels: bool = False) -> ClusterStats:
-    """Components of one configuration: scipy's csgraph, or a union-find on
-    graphs of at most UNION_FIND_MAX_VERTICES vertices."""
+def connected_components(occupied: OccupiedEdgeSet) -> ClusterStats:
+    """Components of one configuration, labels included, from scipy's
+    csgraph."""
     V = occupied.graph.num_vertices
     pairs = occupied.all_pairs()
-    if V <= UNION_FIND_MAX_VERTICES:
-        uf = UnionFind(V)
-        uf.union_pairs(pairs.tolist())
-        sizes = uf.component_sizes()
-        labels = uf.labels() if keep_labels else None
-    else:
-        adjacency = csr_array(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(V, V))
-        _, labels = csgraph.connected_components(adjacency, directed=False)
-        sizes = np.sort(np.bincount(labels))[::-1]
-        if not keep_labels:
-            labels = None
+    adjacency = csr_array(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(V, V))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    sizes = np.sort(np.bincount(labels))[::-1]
     return ClusterStats(
         sizes=sizes,
         cmax=int(sizes[0]),

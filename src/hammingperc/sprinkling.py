@@ -89,7 +89,7 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
 
     rng = stream_rng(cfg.seed, stream)
     first = sample_edges(g, p_minus, rng)
-    labels = connected_components(first, keep_labels=True).labels
+    labels = connected_components(first).labels
     counts = np.bincount(labels)
 
     # large clusters by size, largest first, ties by label
@@ -122,7 +122,7 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
     extra = _complement_slots(occ, np.concatenate(picks) + offsets)
     after_edges = OccupiedEdgeSet(graph=g,
                                   slots=np.sort(np.concatenate([occ, extra])))
-    after = connected_components(after_edges, keep_labels=True)
+    after = connected_components(after_edges)
     # merged when every vertex of a large cluster shares one label after
     merged = after.labels[in_large]
 

@@ -21,7 +21,6 @@ from hammingperc.branching import GWSpec, survival_probability
 from hammingperc.exploration import ExplorationEngine
 from hammingperc.graph import DomainError
 from hammingperc.percolation import (
-    UNION_FIND_MAX_VERTICES,
     ClusterStats,
     PercolationConfig,
     batch_components,
@@ -35,7 +34,6 @@ __all__ = [
     "Estimate",
     "ReplicaSummary",
     "Report",
-    "duality_diagnostic",
     "estimate_chi",
     "estimate_cluster_tail",
     "giant_lln_report",
@@ -140,18 +138,28 @@ def replica_summary(cfg: PercolationConfig, replica: int, ks=(),
     )
 
 
+# Replica runs on graphs of at most this many vertices are batched by
+# replica_summaries.  Per replica, a batch beats one csgraph call each, with
+# its fixed cost of about 0.25 ms, up to a few thousand vertices: 0.5 against
+# 0.9 ms at H(2,20), 1.5 against 1.9 ms at H(2,50).  The two are even at
+# H(2,100), and the batch loses at H(2,150), where only two replicas fit in
+# one.  The cut stays at 1,024: no benchmark workload has a graph between
+# 1,024 and 10,000 vertices to show that a higher one pays.
+BATCHED_MAX_VERTICES = 1024
+
+
 def replica_summaries(cfg: PercolationConfig, streams,
                       ks=()) -> list[ReplicaSummary]:
     """``[replica_summary(cfg, r, ks) for r in streams]``, with the same draws.
 
-    On graphs of at most UNION_FIND_MAX_VERTICES vertices, where a
+    On graphs of at most BATCHED_MAX_VERTICES vertices, where a
     components call costs more in fixed overhead than in work, the
     configurations are sampled on one re-keyed generator and their
     components taken in batches by :func:`batch_components`.
     """
     streams = list(streams)
     g = cfg.graph
-    if g.num_vertices > UNION_FIND_MAX_VERTICES:
+    if g.num_vertices > BATCHED_MAX_VERTICES:
         return [replica_summary(cfg, r, ks) for r in streams]
     configs = (sample_edges(g, cfg.p, rng)
                for rng in stream_rngs(cfg.seed, streams))
@@ -271,34 +279,4 @@ def giant_lln_report(cfg: PercolationConfig, replicas: int) -> Report:
         },
         passed=bool(abs(ratio_zeta - 1.0) <= band
                     and lo <= ratio_two_eps <= hi),
-    )
-
-
-def duality_diagnostic(cfg: PercolationConfig, replicas: int) -> Report:
-    """Second-component sizes scaled by eps^2 / (2 log(eps^3 V)).
-
-    Purely informational: the scaling is a conjectured law, so the report
-    never carries a pass/fail verdict.
-    """
-    eps = cfg.epsilon
-    V = cfg.graph.num_vertices
-    if eps <= 0.0 or eps ** 3 * V <= 1.0:
-        raise DomainError(
-            "the second-component diagnostic needs eps > 0 and eps^3 V > 1"
-        )
-    if replicas < 1:
-        raise DomainError(f"need replicas >= 1, got {replicas}")
-    summaries = replica_summaries(cfg, range(replicas))
-    scale = eps * eps / (2.0 * math.log(eps ** 3 * V))
-    ratios = np.array([s.c2 * scale for s in summaries])
-    return Report(
-        per_replica=[
-            {"replica": s.seed, "c2": s.c2, "scaled_c2": float(r)}
-            for s, r in zip(summaries, ratios)
-        ],
-        summary={
-            "median_scaled_c2": float(np.median(ratios)),
-            "mean_scaled_c2": float(ratios.mean()),
-        },
-        passed=None,
     )

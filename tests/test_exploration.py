@@ -7,13 +7,19 @@ from hammingperc.bruteforce import exact_expectation
 from hammingperc.calibration import LINE_OCCUPANCY_CEILING
 from hammingperc.graph import DomainError, HammingGraph
 from hammingperc.percolation import PercolationConfig
-from hammingperc.exploration import ExplorationEngine, explore_cluster
+from hammingperc.exploration import ExplorationEngine
 from hammingperc.rng import stream_rng
+
+
+def _explore(cfg, origin, **kwargs):
+    """One run of a fresh engine on stream 0 of the configuration's seed."""
+    rng = stream_rng(cfg.seed, 0)
+    return ExplorationEngine(cfg).run(origin, rng, **kwargs)
 
 
 def test_empty_configuration():
     cfg = PercolationConfig(HammingGraph(2, 5), epsilon=-1.0, seed=1)
-    res = explore_cluster(cfg, (2, 3))
+    res = _explore(cfg, (2, 3))
     assert res.T == 1
     assert res.cluster_size_capped == 1
     assert res.died_out
@@ -24,13 +30,13 @@ def test_empty_configuration():
 def test_full_configuration():
     g = HammingGraph(2, 5)
     cfg = PercolationConfig(g, epsilon=g.degree - 1.0, seed=1)
-    res = explore_cluster(cfg, (0, 0))
+    res = _explore(cfg, (0, 0))
     assert res.cluster_size_capped == g.num_vertices
     assert res.died_out and res.T == g.num_vertices
     assert (res.horiz_counts == 5).all() and (res.vert_counts == 5).all()
 
     # one exploration step of a full configuration reveals both lines
-    res = explore_cluster(cfg, (1, 2), cap=1)
+    res = _explore(cfg, (1, 2), cap=1)
     assert res.T == 1
     assert not res.died_out
     assert res.cluster_size_capped == 1 + 2 * 4
@@ -41,11 +47,13 @@ def test_full_configuration():
 def test_argument_validation():
     cfg = PercolationConfig(HammingGraph(2, 4), epsilon=0.1, seed=0)
     with pytest.raises(DomainError):
-        explore_cluster(cfg, (0, 0), cap=0)
+        _explore(cfg, (0, 0), cap=0)
     with pytest.raises(DomainError):
-        explore_cluster(cfg, (0, 4))
+        _explore(cfg, (0, 4))
     with pytest.raises(DomainError):
         ExplorationEngine(PercolationConfig(HammingGraph(3, 3), epsilon=0.1))
+    with pytest.raises(TypeError):  # no default stream
+        ExplorationEngine(cfg).run((0, 0), cap=3)
 
 
 def test_counts_partition_cluster():
@@ -65,7 +73,7 @@ def test_counts_partition_cluster():
 def test_members_match_counts():
     g = HammingGraph(2, 12)
     cfg = PercolationConfig(g, epsilon=0.6, seed=3)
-    res = explore_cluster(cfg, (4, 4), cap=40, keep_members=True)
+    res = _explore(cfg, (4, 4), cap=40, keep_members=True)
     assert res.members is not None
     assert len(res.members) == res.cluster_size_capped
     assert (np.diff(res.members) > 0).all()

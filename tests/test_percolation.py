@@ -138,7 +138,7 @@ def test_explicit_edge_list_components():
     # horizontal one; they chain three vertices together
     occ = OccupiedEdgeSet.from_pairs(G23, [((0, 0), (1, 0)), ((1, 0), (1, 2))])
     assert occ.total_occupied == 2
-    stats = connected_components(occ, keep_labels=True)
+    stats = connected_components(occ)
     assert stats.cmax == 3
     assert stats.c2 == 1
     assert stats.sizes.sum() == 9
@@ -225,19 +225,35 @@ def _same_partition(x, y) -> bool:
     return len(joint) == len(np.unique(x)) == len(np.unique(y))
 
 
+def _union_find_roots(occ: OccupiedEdgeSet) -> np.ndarray:
+    """Root of every vertex, joined line by line over the per-line decode:
+    no code shared with connected_components."""
+    parent = list(range(occ.graph.num_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for pos in range(occ.graph.num_lines()):
+        for u, v in occ.pairs_by_line(pos).tolist():
+            parent[find(u)] = find(v)
+    return np.array([find(v) for v in range(len(parent))])
+
+
 @pytest.mark.parametrize("d, n", [(2, 20), (3, 10), (2, 60), (3, 15)])
-def test_union_find_and_csgraph_paths_agree(d, n, monkeypatch):
-    # graphs on both sides of the size cut, each forced through both paths
+def test_union_find_and_csgraph_paths_agree(d, n):
+    # the package's csgraph path against the test-local union-find
     cfg = PercolationConfig(HammingGraph(d, n), epsilon=0.2, seed=41)
     for stream in range(4):
         occ = sample_configuration(cfg, stream=stream)
-        monkeypatch.setattr(percolation, "UNION_FIND_MAX_VERTICES", 10**12)
-        by_union_find = connected_components(occ, keep_labels=True)
-        monkeypatch.setattr(percolation, "UNION_FIND_MAX_VERTICES", 0)
-        by_csgraph = connected_components(occ, keep_labels=True)
-        np.testing.assert_array_equal(by_union_find.sizes, by_csgraph.sizes)
-        assert by_union_find.sizes.sum() == cfg.graph.num_vertices
-        assert _same_partition(by_union_find.labels, by_csgraph.labels)
+        roots = _union_find_roots(occ)
+        stats = connected_components(occ)
+        want = np.sort(np.unique(roots, return_counts=True)[1])[::-1]
+        np.testing.assert_array_equal(stats.sizes, want)
+        assert stats.sizes.sum() == cfg.graph.num_vertices
+        assert _same_partition(roots, stats.labels)
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),

@@ -17,7 +17,6 @@ from hammingperc.percolation import (
 from hammingperc.stats import (
     Estimate,
     ReplicaSummary,
-    duality_diagnostic,
     estimate_chi,
     estimate_cluster_tail,
     giant_lln_report,
@@ -166,26 +165,6 @@ def test_giant_report_needs_supercritical_epsilon():
         giant_lln_report(cfg, replicas=2)
 
 
-def test_duality_trivial_at_p_one():
-    g = HammingGraph(2, 12)
-    cfg = PercolationConfig(g, epsilon=g.degree - 1.0, seed=1)
-    rep = duality_diagnostic(cfg, replicas=3)
-    assert rep.summary["median_scaled_c2"] == 0.0
-    assert rep.passed is None
-
-
-def test_duality_preconditions():
-    with pytest.raises(DomainError):
-        duality_diagnostic(
-            PercolationConfig(HammingGraph(2, 12), epsilon=-0.1), replicas=2
-        )
-    with pytest.raises(DomainError):
-        # eps^3 V barely misses 1
-        duality_diagnostic(
-            PercolationConfig(HammingGraph(2, 10), epsilon=0.01), replicas=2
-        )
-
-
 def test_z_concentration_report_shape():
     cfg = PercolationConfig(HammingGraph(2, 6), epsilon=-1.0, seed=3)
     rep = z_concentration_report(cfg, k=2, replicas=3)
@@ -226,3 +205,20 @@ def test_replica_summaries_equal_one_summary_per_replica(d, n, eps):
     assert replica_summaries(cfg, streams, (1, 2)) == [
         replica_summary(cfg, r, (1, 2)) for r in streams]
     assert replica_summaries(cfg, range(0)) == []
+
+
+@pytest.mark.parametrize("eps", [-0.2, 0.15])
+def test_exploration_tails_match_full_configurations(eps):
+    # the two cluster paths: P(|C(v)| >= k) from capped explorations against
+    # E[Z_{>=k}]/V from whole configurations, on separate frozen seeds
+    g = HammingGraph(2, 40)
+    V = g.num_vertices
+    ks = (2, 5, 20, 80)
+    summaries = replica_summaries(
+        PercolationConfig(g, epsilon=eps, seed=7002), range(400), ks)
+    explored = PercolationConfig(g, epsilon=eps, seed=7001)
+    for i, k in enumerate(ks):
+        tail = estimate_cluster_tail(explored, k=k, samples=4000)
+        z = Estimate.from_samples([s.z_geq_table[i][1] / V for s in summaries])
+        spread = math.hypot(tail.std_error, z.std_error)
+        assert abs(tail.mean - z.mean) <= 4.0 * spread, (k, tail, z)
