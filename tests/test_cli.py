@@ -15,6 +15,7 @@ from hammingperc.cli import (
     MAX_EPSILONS,
     MAX_REPLICA_BYTES,
     ExperimentPlan,
+    RunRecord,
     _build_parser,
     _plan_from_args,
     main,
@@ -55,6 +56,51 @@ def test_plan_round_trip():
     ]
     for plan in plans:
         assert parse_plan(serialize_plan(plan)) == plan
+
+
+def test_plan_text_and_json_are_pinned():
+    plans = [
+        ExperimentPlan(experiment="simulate", d=2, n=300, epsilons=(0.15,),
+                       k_thresholds=(2009, 5207), replicas=30, master_seed=3,
+                       threads=4, out_csv="runs/a.csv", out_json="runs/a.json"),
+        ExperimentPlan(experiment="sweep", n=50,
+                       epsilons=parse_epsilons("0.05:0.30:0.05"),
+                       replicas=20, master_seed=9),
+        ExperimentPlan(experiment="sprinkle", n=500, epsilons=(0.1,),
+                       eta=0.0398, replicas=20),
+        ExperimentPlan(experiment="gw", epsilons=(0.05,), gw_N=2000,
+                       tail_ell=10_000),
+    ]
+    texts = [
+        "[plan]\nexperiment = simulate\nd = 2\nn = 300\neps = 0.15\n"
+        "replicas = 30\nseed = 3\nthreads = 4\nk = 2009,5207\n"
+        "out_csv = runs/a.csv\nout_json = runs/a.json\n",
+        "[plan]\nexperiment = sweep\nd = 2\nn = 50\n"
+        "eps = 0.05,0.1,0.15000000000000002,0.2,0.25,0.3\n"
+        "replicas = 20\nseed = 9\nthreads = 1\n",
+        "[plan]\nexperiment = sprinkle\nd = 2\nn = 500\neps = 0.1\n"
+        "replicas = 20\nseed = 0\nthreads = 1\neta = 0.0398\n",
+        "[plan]\nexperiment = gw\nd = 2\nn = 10\neps = 0.05\n"
+        "replicas = 1\nseed = 0\nthreads = 1\nN = 2000\ntail = 10000\n",
+    ]
+    dicts = [
+        {"experiment": "simulate", "d": 2, "n": 300, "eps": "0.15",
+         "replicas": 30, "seed": 3, "threads": 4, "k": "2009,5207",
+         "out_csv": "runs/a.csv", "out_json": "runs/a.json"},
+        {"experiment": "sweep", "d": 2, "n": 50,
+         "eps": "0.05,0.1,0.15000000000000002,0.2,0.25,0.3",
+         "replicas": 20, "seed": 9, "threads": 1},
+        {"experiment": "sprinkle", "d": 2, "n": 500, "eps": "0.1",
+         "replicas": 20, "seed": 0, "threads": 1, "eta": "0.0398"},
+        {"experiment": "gw", "d": 2, "n": 10, "eps": "0.05", "replicas": 1,
+         "seed": 0, "threads": 1, "N": 2000, "tail": 10000},
+    ]
+    for plan, text, pinned in zip(plans, texts, dicts):
+        assert serialize_plan(plan) == text
+        record = RunRecord(plan=plan, rows=[], summary={}, warnings=[],
+                           version="", timestamp="", total_seconds=0.0)
+        got = json.loads(record.to_json())["plan"]
+        assert list(got.items()) == list(pinned.items())  # order too
 
 
 def test_plan_validation():
