@@ -24,7 +24,6 @@ __all__ = [
     "GWSpec",
     "GWTail",
     "extinction_probability",
-    "progeny_pmf",
     "progeny_pmf_array",
     "survival_probability",
     "tail_probability",
@@ -65,11 +64,6 @@ def progeny_pmf_array(spec: GWSpec, ks: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logp = binom.logpmf(ks - 1.0, ks * spec.N, spec.p) - np.log(ks)
     return np.exp(logp)
-
-
-def progeny_pmf(spec: GWSpec, k: int) -> float:
-    """P(F = k), the probability the tree has exactly k vertices in total."""
-    return float(progeny_pmf_array(spec, np.array([k]))[0])
 
 
 def extinction_probability(spec: GWSpec, tol: float = 1e-14,

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ EXPERIMENTS = ("simulate", "explore", "sprinkle", "gw", "verify", "sweep")
 GRAPH_EXPERIMENTS = ("simulate", "explore", "sprinkle", "sweep")
 CSV_HEADER = ("experiment", "d", "n", "epsilon", "eta", "seed", "replica",
               "cmax", "c2", "z_k", "z_value")
-# plan keys of a config file, as written by serialize_plan
-PLAN_KEYS = ("experiment", "d", "n", "eps", "eta", "k", "replicas", "seed",
-             "threads", "out_csv", "out_json", "N", "tail")
 # most values a lo:hi:step epsilon range may expand to
 MAX_EPSILONS = 10_000
 # Peak bytes of one replica per item, fitted to tracemalloc peaks of
@@ -79,8 +76,8 @@ def _number(cast, text: str, what: str):
         ) from None
 
 
-def _int_list(text: str, what: str) -> tuple:
-    return tuple(_number(int, v, what) for v in text.split(",") if v.strip())
+def _int_list(text: str) -> tuple:
+    return tuple(_number(int, v, "k") for v in text.split(",") if v.strip())
 
 
 @dataclass(frozen=True)
@@ -205,27 +202,20 @@ def _fmt(value) -> str:
 
 
 def _plan_to_dict(plan: ExperimentPlan) -> dict:
-    out = {
-        "experiment": plan.experiment,
-        "d": plan.d,
-        "n": plan.n,
-        "eps": ",".join(repr(float(e)) for e in plan.epsilons),
-        "replicas": plan.replicas,
-        "seed": plan.master_seed,
-        "threads": plan.threads,
-    }
-    if plan.eta is not None:
-        out["eta"] = repr(float(plan.eta))
-    if plan.k_thresholds:
-        out["k"] = ",".join(str(k) for k in plan.k_thresholds)
-    if plan.out_csv:
-        out["out_csv"] = plan.out_csv
-    if plan.out_json:
-        out["out_json"] = plan.out_json
-    if plan.gw_N is not None:
-        out["N"] = plan.gw_N
-    if plan.tail_ell is not None:
-        out["tail"] = plan.tail_ell
+    """Set plan values by config key, in table order: floats as their
+    shortest round-trip text, lists comma-joined, None and empties left out."""
+    out = {}
+    for key, (name, read, _help) in PLAN_KEYS.items():
+        value = getattr(plan, name)
+        if value is None or isinstance(value, (tuple, str)) and not value:
+            continue
+        floats = read in (float, parse_epsilons)
+        if isinstance(value, tuple):
+            value = ",".join(repr(float(v)) if floats else str(v)
+                             for v in value)
+        elif floats:
+            value = repr(float(value))
+        out[key] = value
     return out
 
 
@@ -258,8 +248,47 @@ def parse_epsilons(text: str) -> tuple:
                  if v.strip())
 
 
-def parse_plan(text: str) -> ExperimentPlan:
-    """Inverse of serialize_plan; also reads hand-written config files."""
+# config key -> (ExperimentPlan field, reader of its text, flag help); the
+# flag of a key is --key with - for _, and plans are written in this order
+PLAN_KEYS = {
+    "experiment": ("experiment", str, None),
+    "d": ("d", int, "word length of H(d, n)"),
+    "n": ("n", int, "alphabet size of H(d, n)"),
+    "eps": ("epsilons", parse_epsilons,
+            "value, comma list, or lo:hi:step range"),
+    "replicas": ("replicas", int, None),
+    "seed": ("master_seed", int, None),
+    "threads": ("threads", int, "worker processes (default: the config"
+                                " file, else HP_THREADS, else 1)"),
+    "eta": ("eta", float, "explicit sprinkle intensity; default rule is"
+                          " sqrt(eps) * V^(-1/6)"),
+    "k": ("k_thresholds", _int_list,
+          "comma list of component-size thresholds"),
+    "out_csv": ("out_csv", str, None),
+    "out_json": ("out_json", str, None),
+    "N": ("gw_N", int, "offspring trial count"),
+    "tail": ("tail_ell", int, "tail threshold to evaluate"),
+}
+GW_KEYS = ("N", "tail")  # only gw takes these flags
+
+
+def _plan_from_keys(values: dict) -> ExperimentPlan:
+    """Parse and validate a plan from config key -> text."""
+    unknown = [key for key in values if key not in PLAN_KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r}")
+    fields = {}
+    for key, text in values.items():
+        name, read, _help = PLAN_KEYS[key]
+        fields[name] = (_number(read, text, key) if read in (int, float)
+                        else read(text))
+    plan = ExperimentPlan(**fields)
+    plan.validate()
+    return plan
+
+
+def _config_keys(text: str) -> dict:
+    """Config key -> text of the [plan] section of a config file."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: N (trials) differs from n
     try:
@@ -269,32 +298,12 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise UsageError(f"malformed config: {first_line}") from None
     if not parser.has_section("plan"):
         raise DomainError("config needs a [plan] section")
-    unknown = [key for key in parser["plan"] if key not in PLAN_KEYS]
-    if unknown:
-        raise UsageError(f"unknown config key {unknown[0]!r}")
-    get = parser["plan"].get
+    return dict(parser["plan"])
 
-    def number(cast, key, default=None):
-        text = get(key)
-        return default if text is None else _number(cast, text, key)
 
-    plan = ExperimentPlan(
-        experiment=get("experiment", "simulate"),
-        d=number(int, "d", 2),
-        n=number(int, "n", 10),
-        epsilons=parse_epsilons(get("eps", "0.1")),
-        eta=number(float, "eta"),
-        k_thresholds=_int_list(get("k", ""), "k"),
-        replicas=number(int, "replicas", 1),
-        master_seed=number(int, "seed", 0),
-        threads=number(int, "threads", 1),
-        out_csv=get("out_csv") or None,
-        out_json=get("out_json") or None,
-        gw_N=number(int, "N"),
-        tail_ell=number(int, "tail"),
-    )
-    plan.validate()
-    return plan
+def parse_plan(text: str) -> ExperimentPlan:
+    """Inverse of serialize_plan; also reads hand-written config files."""
+    return _plan_from_keys({"experiment": "simulate", **_config_keys(text)})
 
 
 def resolve_eta(plan: ExperimentPlan, epsilon: float, V: int) -> float:
@@ -521,69 +530,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--eps", type=str, default=None,
-                       help="value, comma list, or lo:hi:step range")
-        p.add_argument("--eta", type=float, default=None,
-                       help="explicit sprinkle intensity; default rule is"
-                            " sqrt(eps) * V^(-1/6)")
-        p.add_argument("--k", type=str, default=None,
-                       help="comma list of component-size thresholds")
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default from HP_THREADS)")
-        p.add_argument("--out-csv", type=str, default=None)
-        p.add_argument("--out-json", type=str, default=None)
-        p.add_argument("--config", type=str, default=None,
+        for key, (_field, _read, flag_help) in PLAN_KEYS.items():
+            if key != "experiment" and (name == "gw" or key not in GW_KEYS):
+                p.add_argument("--" + key.replace("_", "-"), help=flag_help)
+        p.add_argument("--config",
                        help="flat key = value plan file; flags win")
-        if name == "gw":
-            p.add_argument("--N", type=int, default=None,
-                           help="offspring trial count")
-            p.add_argument("--tail", type=int, default=None,
-                           help="tail threshold to evaluate")
     return parser
 
 
 def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
+    """Flags over the config file over HP_THREADS over the defaults."""
+    values = {}
     if args.config:
         with open(args.config) as fh:
-            plan = parse_plan(fh.read())
-        plan = replace(plan, experiment=args.experiment)
-    else:
-        plan = ExperimentPlan(experiment=args.experiment)
-    updates = {}
-    if args.d is not None:
-        updates["d"] = args.d
-    if args.n is not None:
-        updates["n"] = args.n
-    if args.eps is not None:
-        updates["epsilons"] = parse_epsilons(args.eps)
-    if args.eta is not None:
-        updates["eta"] = args.eta
-    if args.k is not None:
-        updates["k_thresholds"] = _int_list(args.k, "--k")
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    elif os.environ.get("HP_THREADS"):
-        updates["threads"] = _number(int, os.environ["HP_THREADS"],
-                                     "HP_THREADS")
-    if args.out_csv is not None:
-        updates["out_csv"] = args.out_csv
-    if args.out_json is not None:
-        updates["out_json"] = args.out_json
-    if getattr(args, "N", None) is not None:
-        updates["gw_N"] = args.N
-    if getattr(args, "tail", None) is not None:
-        updates["tail_ell"] = args.tail
-    plan = replace(plan, **updates)
-    plan.validate()
-    return plan
+            values = _config_keys(fh.read())
+    values.update((key, getattr(args, key)) for key in PLAN_KEYS
+                  if getattr(args, key, None) is not None)
+    env = os.environ.get("HP_THREADS")
+    if env and "threads" not in values:
+        values["threads"] = str(_number(int, env, "HP_THREADS"))
+    return _plan_from_keys(values)
 
 
 def main(argv=None) -> int:

@@ -2,10 +2,11 @@
 
 Edges live inside coordinate lines, each line a complete graph on n
 vertices.  The pair of positions a < b on line i has rank b*(b-1)/2 + a and
-slot i*M + rank, M = n(n-1)/2; a configuration is its sorted occupied slots.
-Sampling walks each line's ranks with geometric gaps, which reproduces
-independent Bernoulli(p) edges exactly while doing work proportional to the
-number of occupied edges only.
+slot i*M + rank, M = n(n-1)/2; a configuration is its sorted occupied slots,
+built from explicit vertex pairs by ``OccupiedEdgeSet.from_pairs`` and
+decoded back to pairs by ``all_pairs``.  Sampling walks each line's ranks
+with geometric gaps, which reproduces independent Bernoulli(p) edges exactly
+while doing work proportional to the number of occupied edges only.
 """
 
 from __future__ import annotations
@@ -151,15 +152,6 @@ class OccupiedEdgeSet:
         pairs += anchor[pos, None]
         return pairs
 
-    def to_text(self) -> str:
-        """Debug serialization, one occupied edge per line: "axis index u v"."""
-        n = self.graph.n
-        axis, index = np.divmod(self.slots // (n * (n - 1) // 2),
-                                n ** (self.graph.d - 1))
-        return "\n".join(
-            f"{a} {i} {u} {v}" for a, i, (u, v)
-            in zip(axis.tolist(), index.tolist(), self.all_pairs().tolist()))
-
     @classmethod
     def from_pairs(cls, graph: HammingGraph, pairs) -> "OccupiedEdgeSet":
         """Build from explicit vertex pairs (indices or coordinate tuples)."""
@@ -183,16 +175,6 @@ class OccupiedEdgeSet:
         if repeated.size:
             raise DomainError(f"duplicate edge in line position {repeated[0] // M}")
         return cls(graph=graph, slots=slots)
-
-    @classmethod
-    def from_text(cls, graph: HammingGraph, text: str) -> "OccupiedEdgeSet":
-        pairs = []
-        for row in text.splitlines():
-            if not row.strip():
-                continue
-            _axis, _index, u, v = row.split()
-            pairs.append((int(u), int(v)))
-        return cls.from_pairs(graph, pairs)
 
 
 @functools.lru_cache(maxsize=64)

@@ -48,7 +48,6 @@ class SprinklingReport:
     cmax_after: int
     occupied_before: int
     occupied_after: int
-    edges_after: OccupiedEdgeSet | None = field(default=None, compare=False)
 
 
 def _complement_slots(occ: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -62,16 +61,15 @@ def _complement_slots(occ: np.ndarray, picks: np.ndarray) -> np.ndarray:
                                    side="right")
 
 
-def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
-                       keep_edges: bool = False) -> SprinklingReport:
+def two_round_exposure(cfg: PercolationConfig, eta: float,
+                       stream: int = 0) -> SprinklingReport:
     """Expose one configuration in two rounds and report the merge outcome.
 
     Round one samples every edge at the reduced probability p_minus and its
     components are measured; round two sprinkles each vacant edge at rate
     eta / degree and the large first-round clusters are checked for having
     merged.  Both rounds consume the single stream ``stream`` of cfg.seed,
-    so a report is reproducible from (cfg, eta, stream) alone.  With
-    ``keep_edges`` the combined configuration is returned as well.
+    so a report is reproducible from (cfg, eta, stream) alone.
     """
     g = cfg.graph
     V = g.num_vertices
@@ -136,5 +134,4 @@ def two_round_exposure(cfg: PercolationConfig, eta: float, stream: int = 0,
         cmax_after=after.cmax,
         occupied_before=first.total_occupied,
         occupied_after=after_edges.total_occupied,
-        edges_after=after_edges if keep_edges else None,
     )

@@ -14,7 +14,6 @@ from hammingperc.branching import (
     GWSpec,
     compute_gw_tail,
     extinction_probability,
-    progeny_pmf,
     progeny_pmf_array,
     survival_probability,
     tail_probability,
@@ -86,17 +85,16 @@ def test_pmf_matches_tree_enumeration():
     q = _tree_pmf(4, Fraction(1, 4), 6)
     # frozen from the enumeration oracle
     assert q[3] == Fraction(649539, 8388608)
-    spec = GWSpec(4, 0.25)
+    pmf = progeny_pmf_array(GWSpec(4, 0.25), np.arange(1, 7))
     for k in range(1, 7):
-        assert progeny_pmf(spec, k) == pytest.approx(float(q[k]), abs=1e-14)
+        assert pmf[k - 1] == pytest.approx(float(q[k]), abs=1e-14)
 
 
 def test_pmf_degenerate_offspring():
     dead = GWSpec(3, 0.0)
-    assert progeny_pmf(dead, 1) == 1.0
-    assert progeny_pmf(dead, 5) == 0.0
+    assert progeny_pmf_array(dead, np.array([1, 5])).tolist() == [1.0, 0.0]
     eternal = GWSpec(2, 1.0)  # every tree is infinite
-    assert all(progeny_pmf(eternal, k) == 0.0 for k in range(1, 6))
+    assert (progeny_pmf_array(eternal, np.arange(1, 6)) == 0.0).all()
 
 
 def test_pmf_accuracy_against_high_precision():
@@ -115,13 +113,14 @@ def test_pmf_accuracy_against_high_precision():
             lp += (n - k + 1) * mp.log1p(-mp.mpf(spec.p))
             return float(mp.exp(lp) / k)
 
-    for k in (1, 2, 10, 100, 1000, 10**5, 10**7):
-        assert abs(progeny_pmf(spec, k) - oracle(k)) <= 1e-12
+    ks = (1, 2, 10, 100, 1000, 10**5, 10**7)
+    for k, got in zip(ks, progeny_pmf_array(spec, np.array(ks))):
+        assert abs(got - oracle(k)) <= 1e-12
 
 
 def test_pmf_rejects_sizes_below_one():
     with pytest.raises(DomainError):
-        progeny_pmf(GWSpec(4, 0.25), 0)
+        progeny_pmf_array(GWSpec(4, 0.25), np.array([0]))
 
 
 def test_spec_validation():
@@ -233,14 +232,15 @@ def test_near_critical_cayley_asymptotic():
     # P(F=k) against (k**(k-1) e**-k / k!) * exp(-(k-1)(lam-1)**2 / 2)
     N, eps = 10**4, 0.02
     spec = GWSpec(N, (1 + eps) / N)
-    for k in (10, 30, 100, 300, 1000):
+    ks = (10, 30, 100, 300, 1000)
+    for k, pmf in zip(ks, progeny_pmf_array(spec, np.array(ks))):
         log_asy = (
             (k - 1) * math.log(k)
             - k
             - math.lgamma(k + 1)
             - 0.5 * (k - 1) * eps**2
         )
-        ratio = progeny_pmf(spec, k) / math.exp(log_asy)
+        ratio = pmf / math.exp(log_asy)
         assert 0.9 <= ratio <= 1.1
 
 
@@ -261,8 +261,9 @@ def test_simulated_progeny_matches_pmf():
     totals = _simulate_progeny(spec, cap=cap, samples=samples,
                                rng=stream_rng(2026, 0))
     counts = np.bincount(totals, minlength=cap + 1)
+    pmf = progeny_pmf_array(spec, np.arange(1, 21))
     for k in range(1, 21):
-        want = progeny_pmf(spec, k)
+        want = pmf[k - 1]
         got = counts[k] / samples
         se = math.sqrt(want * (1 - want) / samples)
         assert abs(got - want) <= 4 * se + 1e-12, f"k={k}"

@@ -252,19 +252,32 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["verify"]) == 1
 
 
-def test_hp_threads_env_default(monkeypatch):
+def test_hp_threads_env_default(monkeypatch, tmp_path):
     monkeypatch.setenv("HP_THREADS", "3")
     args = _build_parser().parse_args(["simulate", "--n", "8"])
     assert _plan_from_args(args).threads == 3
     monkeypatch.delenv("HP_THREADS")
     args = _build_parser().parse_args(["simulate", "--n", "8"])
     assert _plan_from_args(args).threads == 1
+    # flag > config file > HP_THREADS > 1
+    cfg_path = tmp_path / "plan.cfg"
+    cfg_path.write_text("[plan]\nn = 8\nthreads = 2\n")
+    monkeypatch.setenv("HP_THREADS", "3")
+    args = _build_parser().parse_args(["simulate", "--config", str(cfg_path)])
+    assert _plan_from_args(args).threads == 2
+    args = _build_parser().parse_args(["simulate", "--config", str(cfg_path),
+                                       "--threads", "4"])
+    assert _plan_from_args(args).threads == 4
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "8", "--k", "abc"],
     ["sweep", "--n", "8", "--eps", "0.1:abc:1"],
     ["simulate", "--n", "8", "--eps", "abc"],
+    ["simulate", "--d", "two"],
+    ["simulate", "--n", "8", "--replicas", "x"],
+    ["simulate", "--n", "8", "--seed", "1.5"],
+    ["sprinkle", "--n", "8", "--eta", "abc"],
 ])
 def test_malformed_flag_numbers_are_usage_errors(argv, capsys):
     assert main(argv) == 2

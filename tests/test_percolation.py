@@ -160,17 +160,15 @@ def test_from_pairs_rejects_malformed():
         OccupiedEdgeSet.from_pairs(G23, [((0, 0), (1, 0)), ((1, 0), (0, 0))])
 
 
-def test_text_roundtrip():
+def test_pairs_roundtrip():
     cfg = PercolationConfig(HammingGraph(2, 6), epsilon=0.4, seed=31)
     occ = sample_configuration(cfg)
-    text = occ.to_text()
-    back = OccupiedEdgeSet.from_text(occ.graph, text)
+    pairs = occ.all_pairs()
+    back = OccupiedEdgeSet.from_pairs(occ.graph, pairs)
     assert back.total_occupied == occ.total_occupied
     assert np.array_equal(occ.slots, back.slots)
-    for row in text.splitlines():
-        axis, index, u, v = map(int, row.split())
-        assert 0 <= axis < 2 and 0 <= index < 6
-        assert 0 <= u < v < 36
+    assert ((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1])
+            & (pairs[:, 1] < 36)).all()
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 4)])

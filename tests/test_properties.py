@@ -1,5 +1,6 @@
-"""Property checks of the rank codec, the text format, the sprinkle
-complement map and the re-keyed random streams over generated inputs."""
+"""Property checks of the rank codec, the vertex-pair round trip of sampled
+configurations, the sprinkle complement map and the re-keyed random streams
+over generated inputs."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -50,10 +51,10 @@ def test_ranks_to_positions_inverts_pair_rank(ranks):
 @settings(max_examples=50, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(2, 6),
        p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_text_round_trip(d, n, p, seed):
+def test_pairs_round_trip(d, n, p, seed):
     g = HammingGraph(d, n)
     occ = sample_edges(g, p, np.random.default_rng(seed))
-    back = OccupiedEdgeSet.from_text(g, occ.to_text())
+    back = OccupiedEdgeSet.from_pairs(g, occ.all_pairs())
     assert np.array_equal(back.slots, occ.slots)
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from hammingperc import sprinkling
 from hammingperc.calibration import (
     GOOD_LINE_REPLICA_FRACTION,
     SPRINKLE_MERGE_FRACTION,
@@ -23,6 +24,20 @@ from hammingperc.percolation import (
 )
 from hammingperc.rng import stream_rng
 from hammingperc.sprinkling import _complement_slots, two_round_exposure
+
+
+def _combined_configurations(monkeypatch) -> list:
+    """Spy on the components calls of two_round_exposure: per exposure the
+    first gets round one and the second the combined configuration."""
+    seen = []
+    real = sprinkling.connected_components
+
+    def spy(occ):
+        seen.append(occ)
+        return real(occ)
+
+    monkeypatch.setattr(sprinkling, "connected_components", spy)
+    return seen
 
 
 def test_complement_mapping_matches_set_arithmetic():
@@ -52,12 +67,14 @@ def test_partial_complement_picks_avoid_occupied_slots():
         assert not np.intersect1d(got, occ).size
 
 
-def test_eta_zero_reduces_to_plain_percolation():
+def test_eta_zero_reduces_to_plain_percolation(monkeypatch):
+    seen = _combined_configurations(monkeypatch)
     cfg = PercolationConfig(HammingGraph(2, 6), epsilon=0.3, seed=11)
-    rep = two_round_exposure(cfg, eta=0.0, stream=3, keep_edges=True)
+    rep = two_round_exposure(cfg, eta=0.0, stream=3)
     base = sample_configuration(cfg, stream=3)
     assert rep.p_minus == cfg.p
-    assert rep.edges_after.to_text() == base.to_text()
+    assert len(seen) == 2
+    assert np.array_equal(seen[1].slots, base.slots)
     assert rep.occupied_after == rep.occupied_before == base.total_occupied
     stats = connected_components(base)
     assert rep.cmax_after == stats.cmax
@@ -94,10 +111,9 @@ def test_report_is_internally_consistent():
         assert (rep.good_lines_before <= cfg.graph.n).all()
         assert rep.occupied_after >= rep.occupied_before
         assert rep.cmax_after >= rep.clusters_before[0]
-        assert rep.edges_after is None
 
 
-def test_combined_line_distribution_matches_product_law():
+def test_combined_line_distribution_matches_product_law(monkeypatch):
     # H(2, 3) with p = 0.3 split as p_minus = 0.125 plus rate 0.2: the
     # occupancy pattern of one fixed line must follow the Bernoulli(p)
     # product law over its 3 slots
@@ -106,10 +122,13 @@ def test_combined_line_distribution_matches_product_law():
     assert p == pytest.approx(0.3)
     runs = 4000
     counts: dict[tuple, int] = {}
+    seen = _combined_configurations(monkeypatch)
     for seed in range(runs):
         cfg = PercolationConfig(g, epsilon=0.2, seed=seed)
-        rep = two_round_exposure(cfg, eta=0.8, stream=0, keep_edges=True)
-        slots = rep.edges_after.slots
+        seen.clear()
+        two_round_exposure(cfg, eta=0.8, stream=0)
+        assert len(seen) == 2
+        slots = seen[1].slots
         pattern = tuple(slots[slots < 3].tolist())  # line 0: slot = rank
         counts[pattern] = counts.get(pattern, 0) + 1
     for bits in range(8):
