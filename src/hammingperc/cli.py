@@ -51,11 +51,14 @@ MAX_EPSILONS = 10_000
 # Peak bytes of one replica per item, fitted to tracemalloc peaks of
 # sprinkle replicas (simulate needs less) at H(2,1000) and H(3,60), eps 0.1
 # and 1.0, rounded up so that no measured peak is underestimated (see
-# CHANGES.md); an exploration engine costs per vertex only.
+# CHANGES.md).
 BYTES_PER_VERTEX = 54
 BYTES_PER_LINE = 216
 BYTES_PER_EDGE = 58
-EXPLORE_BYTES_PER_VERTEX = 144
+# An exploration costs per vertex only: the peak of building its engine and
+# running one exploration to cap V at eps 5, which discovers nearly all of
+# V, measured at H(2,300), H(2,1000) and H(2,2000) and rounded up.
+EXPLORE_BYTES_PER_VERTEX = 56
 # graph plans whose replica is estimated above this are refused
 MAX_REPLICA_BYTES = 4 * 2**30
 

@@ -155,6 +155,51 @@ def test_nested_caps_are_coupled():
             assert res.T == min(rng_runs[-1].T, c) or not rng_runs[-1].died_out
 
 
+@pytest.mark.parametrize("n,p,eps,bits,replayed", [
+    (2, 0.9, None, "philox", True),  # p > 0.5: numpy inverts at 1 - p
+    (3, 0.8, None, "philox", True),
+    (40, None, 0.15, "philox", True),
+    (4, 0.0, None, "philox", False),  # numpy draws nothing at p = 0
+    (4, 1.0, None, "philox", True),
+    (70, None, 60.0, "philox", False),  # eps > 59: numpy's BTPE branch
+    (40, None, 0.15, "PCG64", False),
+    (40, None, 0.15, "MT19937", False),  # no 32-bit half-word buffer
+])
+def test_replay_matches_generator_path(n, p, eps, bits, replayed):
+    # the engine's own choice of draws against the Generator calls, which
+    # are the reference: same runs, and the stream left at the same place
+    g = HammingGraph(2, n)
+    if eps is None:
+        eps = p * g.degree - 1.0
+    cfg = PercolationConfig(g, epsilon=eps, seed=41)
+    engine = ExplorationEngine(cfg)
+    reference = ExplorationEngine(cfg)
+    reference._tables = None  # always draws through the Generator
+    assert (engine._tables is not None and bits == "philox") == replayed
+
+    def stream(r):
+        if bits == "philox":
+            return stream_rng(41, r)
+        return np.random.Generator(getattr(np.random, bits)([41, r]))
+
+    for r in range(40):
+        a, b = stream(r), stream(r)
+        # the estimators draw the origin first, which buffers a 32-bit half
+        origin = g.vertex_coords(int(a.integers(g.num_vertices)))
+        b.integers(g.num_vertices)
+        cap = (None, 1, 7, 50)[r % 4]
+        got = engine.run(origin, a, cap=cap, keep_members=True)
+        want = reference.run(origin, b, cap=cap, keep_members=True)
+        assert got.T == want.T
+        assert got.cluster_size_capped == want.cluster_size_capped
+        assert got.died_out == want.died_out
+        assert np.array_equal(got.horiz_counts, want.horiz_counts)
+        assert np.array_equal(got.vert_counts, want.vert_counts)
+        assert np.array_equal(got.members, want.members)
+        assert a.random() == b.random()
+        assert a.integers(7) == b.integers(7)
+
+
 def test_line_occupancy_stays_within_ceiling():
     # capped supercritical explorations spread over lines: the fullest
     # horizontal line stays below a fixed multiple of eta*n

@@ -1,11 +1,12 @@
 """Property checks of the rank codec, the vertex-pair round trip of sampled
-configurations, the sprinkle complement map and the re-keyed random streams
-over generated inputs."""
+configurations, the sprinkle complement map, the re-keyed random streams and
+the exploration's replay of numpy draws over generated inputs."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hammingperc.exploration import _inversion_tables, _philox_draws
 from hammingperc.graph import HammingGraph
 from hammingperc.percolation import (
     OccupiedEdgeSet,
@@ -114,3 +115,49 @@ def test_rekeyed_streams_draw_what_fresh_streams_draw(seed, streams, draws):
         for kind, x in draws:
             np.testing.assert_array_equal(DRAWS[kind](rekeyed, x),
                                           DRAWS[kind](fresh, x))
+
+
+@st.composite
+def replay_cases(draw):
+    """p, a table size n and a mixed list of binomial(w) trial counts and
+    integers(m) ranges that numpy draws by inversion and by Lemire."""
+    p = draw(st.one_of(st.floats(1e-9, 0.5), st.floats(0.5, 1.0),
+                       st.sampled_from([0.5, 1.0, 1e-3, 0.75])))
+    rate = min(p, 1.0 - p)
+    n = 401
+    while rate * (n - 1) > 30.0:  # numpy's own inversion condition
+        n -= 1
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("binomial"), st.integers(0, n - 1)),
+        st.tuples(st.just("integers"), st.one_of(
+            st.integers(1, 400),
+            # about a quarter of these draws hit Lemire's rejection
+            st.integers(2**31, 2**32 - 1),
+            st.integers(1, 2**32 - 1),
+        )),
+    ), min_size=1, max_size=40))
+    return p, n, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, stream=seeds, halves=st.integers(0, 5),
+       case=replay_cases())
+def test_replayed_draws_match_numpy(seed, stream, halves, case):
+    # the replay gives numpy's values and leaves the stream where numpy
+    # would, from any 32-bit half-word position
+    p, n, ops = case
+    numpy_rng, replay_rng = stream_rng(seed, stream), stream_rng(seed, stream)
+    for rng in (numpy_rng, replay_rng):
+        for _ in range(halves):
+            rng.integers(2**32, dtype=np.uint32)  # one 32-bit half each
+        assert rng.bit_generator.state["has_uint32"] == halves % 2
+    binomial, integers, finish = _philox_draws(replay_rng, p,
+                                               *_inversion_tables(p, n))
+    for kind, x in ops:
+        if kind == "binomial":
+            assert binomial(x) == numpy_rng.binomial(x, p)
+        else:
+            assert integers(x) == numpy_rng.integers(0, x)
+    finish()
+    assert replay_rng.random() == numpy_rng.random()
+    assert replay_rng.integers(7) == numpy_rng.integers(7)
